@@ -67,31 +67,35 @@ Prepared prepare(const std::string &Source) {
   return P;
 }
 
+/// One row of a series: the fixpoint time, and the boolean-program
+/// build time that precedes it (both min-of-N).
+void printRow(unsigned N, const Prepared &P) {
+  DiagnosticEngine Diags;
+  double BuildUs = bench::minOfN([&] {
+    bp::BooleanProgram BP =
+        bp::buildBooleanProgram(P.Abs, *P.CFG.mainCFG(), Diags);
+    benchmark::DoNotOptimize(BP.Vars.size());
+  });
+  bp::IntraResult R;
+  double Us = bench::minOfN([&] { R = bp::analyzeIntraproc(P.BP); });
+  std::printf("%6u %10zu %10zu %12u %10.0f %10.0f\n", N,
+              P.CFG.mainCFG()->Edges.size(), P.BP.Vars.size(), R.Iterations,
+              Us, BuildUs);
+}
+
 void printSeries() {
   std::printf("=== Scaling in B (iterator variables); boolean variables "
               "grow as B^2 ===\n");
-  std::printf("%6s %10s %10s %12s %10s\n", "B", "CFG edges", "bool vars",
-              "fixpt iters", "time (us)");
-  for (unsigned B : {2, 4, 8, 16, 32, 64}) {
-    Prepared P = prepare(clientWithIterators(B));
-    bp::IntraResult R;
-    double Us = bench::minOfN([&] { R = bp::analyzeIntraproc(P.BP); });
-    std::printf("%6u %10zu %10zu %12u %10.0f\n", B,
-                P.CFG.mainCFG()->Edges.size(), P.BP.Vars.size(),
-                R.Iterations, Us);
-  }
+  std::printf("%6s %10s %10s %12s %10s %10s\n", "B", "CFG edges",
+              "bool vars", "fixpt iters", "time (us)", "build (us)");
+  for (unsigned B : {2, 4, 8, 16, 32, 64})
+    printRow(B, prepare(clientWithIterators(B)));
 
   std::printf("\n=== Scaling in E (statements); fixed variable set ===\n");
-  std::printf("%6s %10s %10s %12s %10s\n", "E", "CFG edges", "bool vars",
-              "fixpt iters", "time (us)");
-  for (unsigned E : {8, 16, 32, 64, 128, 256}) {
-    Prepared P = prepare(clientWithStatements(E));
-    bp::IntraResult R;
-    double Us = bench::minOfN([&] { R = bp::analyzeIntraproc(P.BP); });
-    std::printf("%6u %10zu %10zu %12u %10.0f\n", E,
-                P.CFG.mainCFG()->Edges.size(), P.BP.Vars.size(),
-                R.Iterations, Us);
-  }
+  std::printf("%6s %10s %10s %12s %10s %10s\n", "E", "CFG edges",
+              "bool vars", "fixpt iters", "time (us)", "build (us)");
+  for (unsigned E : {8, 16, 32, 64, 128, 256})
+    printRow(E, prepare(clientWithStatements(E)));
   std::printf("\n");
 }
 

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
-#include <memory>
 
 using namespace canvas;
 using namespace canvas::bp;
@@ -217,30 +216,18 @@ SlicedIntraResult bp::analyzeIntraprocSliced(
     DiagnosticEngine &Diags, support::CancelToken *Cancel) {
   SlicedIntraResult R;
 
+  struct Run {
+    BooleanProgram BP;
+    IntraResult IR;
+  };
+  std::vector<Run> Runs;
   auto RunOne = [&](const BuildRestriction &Restrict) {
-    BooleanProgram BP = buildBooleanProgram(Abs, M, Diags, Restrict);
-    IntraResult IR = analyzeIntraproc(BP, Cancel);
+    Run Rn{buildBooleanProgram(Abs, M, Diags, Restrict), IntraResult()};
+    Rn.IR = analyzeIntraproc(Rn.BP, Cancel);
     ++R.SliceRuns;
-    R.BoolVars += BP.Vars.size();
-    R.MaxSliceBoolVars = std::max(R.MaxSliceBoolVars, BP.Vars.size());
-    // The witness engine tabulates the slice's exploded supergraph once,
-    // and only when some check in this slice is actually flagged.
-    std::unique_ptr<IntraWitnessEngine> WE;
-    for (size_t I = 0; I != BP.Checks.size(); ++I) {
-      SlicedCheckItem Item;
-      Item.Edge = BP.Checks[I].Edge;
-      Item.Rec.Loc = BP.Checks[I].Loc;
-      Item.Rec.What = BP.Checks[I].What;
-      Item.Rec.ReqLoc = BP.Checks[I].ReqLoc;
-      Item.Rec.Outcome = IR.CheckResults[I];
-      if (Item.Rec.Outcome == CheckOutcome::Potential ||
-          Item.Rec.Outcome == CheckOutcome::Definite) {
-        if (!WE)
-          WE = std::make_unique<IntraWitnessEngine>(BP);
-        Item.Rec.Witness = WE->witnessFor(I);
-      }
-      R.Items.push_back(std::move(Item));
-    }
+    R.BoolVars += Rn.BP.Vars.size();
+    R.MaxSliceBoolVars = std::max(R.MaxSliceBoolVars, Rn.BP.Vars.size());
+    Runs.push_back(std::move(Rn));
   };
 
   if (Slices.empty()) {
@@ -257,18 +244,38 @@ SlicedIntraResult bp::analyzeIntraprocSliced(
 
   if (Slices.size() > 1) {
     bool AnyDefinite = false;
-    for (const SlicedCheckItem &I : R.Items)
-      AnyDefinite |= I.Rec.Outcome == CheckOutcome::Definite;
+    for (const Run &Rn : Runs)
+      for (CheckOutcome O : Rn.IR.CheckResults)
+        AnyDefinite |= O == CheckOutcome::Definite;
     if (AnyDefinite) {
       // A definite violation kills the continuing edge (the call
       // throws), truncating paths for every slice — rerun over the
       // union so downstream reachability is shared.
-      R.Items.clear();
+      Runs.clear();
       R.FellBack = true;
       BuildRestriction Union;
       for (const std::vector<std::string> &S : Slices)
         Union.Vars.insert(Union.Vars.end(), S.begin(), S.end());
       RunOne(Union);
+    }
+  }
+
+  // Witnesses only for the runs that report, and only where something
+  // is flagged.
+  for (Run &Rn : Runs) {
+    std::vector<core::WitnessTrace> Witnesses;
+    if (Rn.IR.numFlagged())
+      Witnesses = intraWitnesses(Rn.BP, Rn.IR);
+    for (size_t I = 0; I != Rn.BP.Checks.size(); ++I) {
+      SlicedCheckItem Item;
+      Item.Edge = Rn.BP.Checks[I].Edge;
+      Item.Rec.Loc = Rn.BP.Checks[I].Loc;
+      Item.Rec.What = Rn.BP.Checks[I].What;
+      Item.Rec.ReqLoc = Rn.BP.Checks[I].ReqLoc;
+      Item.Rec.Outcome = Rn.IR.CheckResults[I];
+      if (!Witnesses.empty())
+        Item.Rec.Witness = std::move(Witnesses[I]);
+      R.Items.push_back(std::move(Item));
     }
   }
 

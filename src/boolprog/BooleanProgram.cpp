@@ -2,18 +2,11 @@
 
 #include "support/ErrorHandling.h"
 
-#include <map>
+#include <algorithm>
 
 using namespace canvas;
 using namespace canvas::bp;
 using namespace canvas::wp;
-
-int BooleanProgram::findVar(const std::string &Name) const {
-  for (size_t I = 0; I != Vars.size(); ++I)
-    if (Vars[I].Name == Name)
-      return static_cast<int>(I);
-  return -1;
-}
 
 std::string BooleanProgram::str() const {
   std::string Out = "Boolean program for " + CFG->name() + " (" +
@@ -58,11 +51,42 @@ std::string BooleanProgram::str() const {
   return Out;
 }
 
+wp::Folded BooleanProgram::instance(int Family,
+                                    const std::vector<std::string> &Args,
+                                    int &VarOut) const {
+  // Names this program never met get indices past KeyNames: they still
+  // shape the aliasing pattern, but no variable mentions them.
+  std::vector<std::string> Unknown;
+  int Idx[MaxSlots] = {};
+  for (size_t I = 0; I != Args.size(); ++I) {
+    auto It = std::find(KeyNames.begin(), KeyNames.end(), Args[I]);
+    if (It != KeyNames.end()) {
+      Idx[I] = static_cast<int>(It - KeyNames.begin());
+      continue;
+    }
+    auto U = std::find(Unknown.begin(), Unknown.end(), Args[I]);
+    if (U == Unknown.end())
+      U = Unknown.insert(U, Args[I]);
+    Idx[I] = static_cast<int>(KeyNames.size() + (U - Unknown.begin()));
+  }
+  InstanceKey Key;
+  wp::Folded F = Abs->Templates.fold(Family, Idx, Key);
+  if (F != wp::Folded::Var)
+    return F;
+  auto It = VarOf.find(Key);
+  VarOut = It == VarOf.end() ? -1 : It->second;
+  return F;
+}
+
 namespace {
 
 /// Result of instantiating a predicate application over client variables.
 enum class AppValue { False, True, Variable, Missing };
 
+/// Lowers one method by integer substitution into the abstraction's
+/// compiled templates: client variables are indices into
+/// Out.KeyNames, an instance is a wp::InstanceKey, and a boolean
+/// variable is interned per distinct key.
 class Builder {
 public:
   /// \p ChecksOnly skips the variable table and edge assignments and
@@ -73,8 +97,21 @@ public:
   Builder(const DerivedAbstraction &Abs, const cj::CFGMethod &M,
           DiagnosticEngine &Diags, const BuildRestriction *Restrict,
           bool ChecksOnly = false)
-      : Abs(Abs), M(M), Diags(Diags), Restrict(Restrict),
-        ChecksOnly(ChecksOnly) {}
+      : Abs(Abs), T(Abs.Templates), M(M), Diags(Diags),
+        Restricted(Restrict != nullptr), ChecksOnly(ChecksOnly) {
+    std::vector<int> CompIdx;
+    CompIdx.reserve(M.CompVars.size());
+    for (const auto &[V, Ty] : M.CompVars)
+      CompIdx.push_back(nameIndex(V));
+    if (Restrict)
+      for (const std::string &V : Restrict->Vars)
+        Allowed[nameIndex(V)] = 1;
+    VarsOfType.resize(T.Types.size());
+    for (size_t TI = 0; TI != T.Types.size(); ++TI)
+      for (size_t I = 0; I != M.CompVars.size(); ++I)
+        if (M.CompVars[I].second == T.Types[TI] && allowed(CompIdx[I]))
+          VarsOfType[TI].push_back(CompIdx[I]);
+  }
 
   BooleanProgram run() {
     Out.CFG = &M;
@@ -82,13 +119,38 @@ public:
     if (!ChecksOnly)
       enumerateVars();
     Out.EdgeAssignments.resize(M.Edges.size());
-    for (size_t E = 0; E != M.Edges.size(); ++E)
+    for (size_t E = 0; E != M.Edges.size(); ++E) {
       lowerEdge(static_cast<int>(E));
+      for (const auto &[Tgt, Rhs] : Out.EdgeAssignments[E])
+        AssignedOnEdge[Tgt] = 0;
+    }
     return std::move(Out);
   }
 
 private:
-  using Binding = std::map<std::string, std::string>;
+  /// Index of client-variable name \p N, or -1 when not met yet.
+  int findName(const std::string &N) const {
+    auto It = std::find(Out.KeyNames.begin(), Out.KeyNames.end(), N);
+    return It == Out.KeyNames.end()
+               ? -1
+               : static_cast<int>(It - Out.KeyNames.begin());
+  }
+
+  /// Index of client-variable name \p N, appended on first sight.
+  int nameIndex(const std::string &N) {
+    if (int I = findName(N); I >= 0)
+      return I;
+    Out.KeyNames.push_back(N);
+    Allowed.push_back(0);
+    return static_cast<int>(Out.KeyNames.size() - 1);
+  }
+
+  /// A call binding: an empty operand binds nothing.
+  int bindIndex(const std::string &N) {
+    return N.empty() ? -1 : nameIndex(N);
+  }
+
+  bool allowed(int Idx) const { return !Restricted || Allowed[Idx]; }
 
   std::string typeOfClientVar(const std::string &Name) const {
     for (const auto &[V, T] : M.CompVars)
@@ -97,116 +159,112 @@ private:
     return "";
   }
 
-  bool allowed(const std::string &V) const {
-    return !Restrict || Restrict->contains(V);
-  }
-
-  /// All component-typed client variables of type \p T (within the
-  /// restriction, when one is active).
-  std::vector<std::string> varsOfType(const std::string &T) const {
-    std::vector<std::string> Vs;
-    for (const auto &[V, Ty] : M.CompVars)
-      if (Ty == T && allowed(V))
-        Vs.push_back(V);
-    return Vs;
-  }
-
-  int internVar(int Family, std::vector<std::string> Args,
-                Conjunction Body) {
-    std::string Name = conjunctionStr(Body);
-    auto It = VarIndex.find(Name);
-    if (It != VarIndex.end())
+  int internVar(int Family, const int *Args, const InstanceKey &Key) {
+    auto [It, New] =
+        Out.VarOf.try_emplace(Key, static_cast<int>(Out.Vars.size()));
+    if (!New)
       return It->second;
-    int Idx = static_cast<int>(Out.Vars.size());
-    Out.Vars.push_back({Family, std::move(Args), std::move(Body), Name});
-    VarIndex.emplace(std::move(Name), Idx);
-    return Idx;
+    BoolVar BV;
+    BV.Family = Family;
+    std::array<int, MaxSlots> Idx;
+    Idx.fill(-1);
+    BV.Args.reserve(T.SlotTypes[Family].size());
+    for (size_t I = 0; I != T.SlotTypes[Family].size(); ++I) {
+      BV.Args.push_back(Out.KeyNames[Args[I]]);
+      Idx[I] = Args[I];
+    }
+    BV.Name = T.render(Key, Out.KeyNames);
+    Out.Vars.push_back(std::move(BV));
+    ArgIdx.push_back(Idx);
+    AssignedOnEdge.push_back(0);
+    return It->second;
+  }
+
+  bool mentions(size_t V, int X) const {
+    if (X < 0)
+      return false;
+    for (int A : ArgIdx[V])
+      if (A == X)
+        return true;
+    return false;
   }
 
   /// Enumerates every instrumentation-predicate instance over the
   /// method's component variables (the set shown at the top of Fig. 6).
   void enumerateVars() {
-    for (size_t F = 0; F != Abs.Families.size(); ++F) {
-      const PredicateFamily &Fam = Abs.Families[F];
-      std::vector<std::string> Tuple(Fam.arity());
-      enumerateTuples(static_cast<int>(F), Fam, 0, Tuple);
+    for (size_t F = 0; F != T.Families.size(); ++F) {
+      int Tuple[MaxSlots] = {};
+      enumerateTuples(static_cast<int>(F), 0, Tuple);
     }
   }
 
-  void enumerateTuples(int F, const PredicateFamily &Fam, unsigned Slot,
-                       std::vector<std::string> &Tuple) {
-    if (Slot == Fam.arity()) {
-      Conjunction Body;
-      if (instantiateFamily(Fam, Tuple, Fam.VarTypes, Body) ==
-          InstResult::Conj)
-        internVar(F, Tuple, std::move(Body));
+  void enumerateTuples(int F, unsigned Slot, int *Tuple) {
+    const std::vector<int> &Types = T.SlotTypes[F];
+    if (Slot == Types.size()) {
+      InstanceKey Key;
+      if (T.fold(F, Tuple, Key) == wp::Folded::Var)
+        internVar(F, Tuple, Key);
       return;
     }
-    for (const std::string &V : varsOfType(Fam.VarTypes[Slot])) {
+    for (int V : VarsOfType[Types[Slot]]) {
       Tuple[Slot] = V;
-      enumerateTuples(F, Fam, Slot + 1, Tuple);
+      enumerateTuples(F, Slot + 1, Tuple);
     }
   }
 
-  /// Instantiates \p App under \p B; fills \p VarIdx for Variable.
-  AppValue instantiateApp(const PredApp &App, const Binding &B, int &VarIdx) {
-    const PredicateFamily &Fam = Abs.Families[App.Family];
-    std::vector<std::string> Args(App.Args.size());
-    for (size_t I = 0; I != App.Args.size(); ++I) {
-      auto It = B.find(App.Args[I]);
-      if (It == B.end() || It->second.empty())
+  /// Instantiates \p App under the call environment; fills \p VarIdx
+  /// for Variable.
+  AppValue instantiateApp(const wp::CompiledApp &App, int &VarIdx) {
+    const size_t Arity = T.SlotTypes[App.Family].size();
+    int Args[MaxSlots] = {};
+    for (size_t I = 0; I != Arity; ++I) {
+      Args[I] = App.Env[I] == wp::UnboundSlot ? -1 : Env[App.Env[I]];
+      if (Args[I] < 0)
         return AppValue::Missing;
-      Args[I] = It->second;
     }
     // A restricted build tracks no facts spanning the restriction
     // boundary; such applications read as constant false (cross-slice
     // predicates are false whenever their operands are initialized —
     // DESIGN.md "Stage 0 pre-analysis").
-    for (const std::string &A : Args)
-      if (!allowed(A))
+    for (size_t I = 0; I != Arity; ++I)
+      if (!allowed(Args[I]))
         return AppValue::False;
-    Conjunction Body;
-    switch (instantiateFamily(Fam, Args, Fam.VarTypes, Body)) {
-    case InstResult::False:
+    InstanceKey Key;
+    switch (T.fold(App.Family, Args, Key)) {
+    case wp::Folded::False:
       return AppValue::False;
-    case InstResult::True:
+    case wp::Folded::True:
       return AppValue::True;
-    case InstResult::Conj:
+    case wp::Folded::Var:
       break;
     }
-    VarIdx = ChecksOnly ? -2
-                        : internVar(App.Family, std::move(Args),
-                                    std::move(Body));
+    VarIdx = ChecksOnly ? -2 : internVar(App.Family, Args, Key);
     return AppValue::Variable;
   }
 
   void assign(int Edge, int Tgt, BoolRhs Rhs) {
-    for (const auto &[T, R] : Out.EdgeAssignments[Edge])
-      if (T == Tgt)
-        return; // First instantiation wins (duplicates are equal).
+    if (AssignedOnEdge[Tgt])
+      return; // First instantiation wins (duplicates are equal).
+    AssignedOnEdge[Tgt] = 1;
     Out.EdgeAssignments[Edge].emplace_back(Tgt, std::move(Rhs));
   }
 
+  static BoolRhs unknown() {
+    BoolRhs R;
+    R.K = BoolRhs::Kind::Unknown;
+    return R;
+  }
+
   void clobberAll(int Edge) {
-    for (size_t V = 0; V != Out.Vars.size(); ++V) {
-      BoolRhs R;
-      R.K = BoolRhs::Kind::Unknown;
-      assign(Edge, static_cast<int>(V), std::move(R));
-    }
+    for (size_t V = 0; V != Out.Vars.size(); ++V)
+      assign(Edge, static_cast<int>(V), unknown());
   }
 
   void havocVar(int Edge, const std::string &X) {
-    for (size_t V = 0; V != Out.Vars.size(); ++V) {
-      const BoolVar &BV = Out.Vars[V];
-      bool Mentions = false;
-      for (const std::string &A : BV.Args)
-        Mentions |= A == X;
-      if (!Mentions)
-        continue;
-      BoolRhs R;
-      R.K = BoolRhs::Kind::Unknown;
-      assign(Edge, static_cast<int>(V), std::move(R));
-    }
+    const int XI = findName(X);
+    for (size_t V = 0; V != Out.Vars.size(); ++V)
+      if (mentions(V, XI))
+        assign(Edge, static_cast<int>(V), unknown());
   }
 
   void lowerEdge(int E) {
@@ -244,47 +302,42 @@ private:
   }
 
   void lowerCopy(int E, const cj::Action &A) {
-    const std::string &X = A.Lhs;
-    const std::string &Y = A.Args[0];
-    std::string YType = typeOfClientVar(Y);
+    const int X = findName(A.Lhs);
+    const int Y = nameIndex(A.Args[0]);
     // A copy source outside the restriction cannot occur for Stage-0
     // slices (copies connect both sides into one slice); havoc the
     // target's facts defensively rather than leak out-of-slice
     // variables through renaming.
-    bool UnknownSource = !allowed(Y);
+    const bool UnknownSource = !allowed(Y);
+    // Interning may append variables; they are visited too.
     for (size_t V = 0; V != Out.Vars.size(); ++V) {
-      const BoolVar BV = Out.Vars[V]; // Copy: interning may reallocate.
-      bool Mentions = false;
-      for (const std::string &Arg : BV.Args)
-        Mentions |= Arg == X;
-      if (!Mentions)
+      if (!mentions(V, X))
         continue;
       if (UnknownSource) {
-        BoolRhs R;
-        R.K = BoolRhs::Kind::Unknown;
-        assign(E, static_cast<int>(V), std::move(R));
+        assign(E, static_cast<int>(V), unknown());
         continue;
       }
-      Conjunction Renamed;
+      // The instance with X renamed to Y is the variable's family over
+      // the renamed arguments (x != y folds to y != y, ...).
+      std::array<int, MaxSlots> Renamed = ArgIdx[V];
+      for (int &Arg : Renamed)
+        if (Arg == X)
+          Arg = Y;
+      const int Family = Out.Vars[V].Family;
       BoolRhs R;
-      switch (renameRootInConjunction(BV.Body, X, Y, YType, Renamed)) {
-      case InstResult::False:
+      InstanceKey Key;
+      switch (T.fold(Family, Renamed.data(), Key)) {
+      case wp::Folded::False:
         R.K = BoolRhs::Kind::Const;
         break;
-      case InstResult::True:
+      case wp::Folded::True:
         R.K = BoolRhs::Kind::Const;
         R.PlusOne = true;
         break;
-      case InstResult::Conj: {
-        std::vector<std::string> NewArgs = BV.Args;
-        for (std::string &Arg : NewArgs)
-          if (Arg == X)
-            Arg = Y;
-        int Src = internVar(BV.Family, std::move(NewArgs), std::move(Renamed));
+      case wp::Folded::Var:
         R.K = BoolRhs::Kind::Or;
-        R.Sources = {Src};
+        R.Sources = {internVar(Family, Renamed.data(), Key)};
         break;
-      }
       }
       assign(E, static_cast<int>(V), std::move(R));
     }
@@ -298,13 +351,16 @@ private:
       clobberAll(E);
       return;
     }
-    Binding B;
+    const wp::CompiledMethod &CM = T.Methods[MA - Abs.Methods.data()];
+    // The call environment [this, parameters..., ret, $q0, ...].
+    const size_t NParams = MA->Params.size();
+    Env.assign(2 + NParams + MaxSlots, -1);
     if (MA->HasThis)
-      B["this"] = A.Recv;
-    for (size_t I = 0; I != MA->Params.size() && I != A.Args.size(); ++I)
-      B[MA->Params[I].first] = A.Args[I];
-    if (!A.Lhs.empty())
-      B["ret"] = A.Lhs;
+      Env[0] = bindIndex(A.Recv);
+    for (size_t I = 0; I != NParams && I != A.Args.size(); ++I)
+      Env[1 + I] = bindIndex(A.Args[I]);
+    const int Lhs = bindIndex(A.Lhs);
+    Env[1 + NParams] = Lhs;
 
     // Requires obligations, checked in the pre-call state. Under a
     // restriction, a call's checks belong to its receiver's slice
@@ -312,17 +368,18 @@ private:
     // one slice of a partition emits them). Constructor calls have no
     // receiver; their checks belong to the slice of the allocated
     // variable instead.
-    bool OwnsChecks = allowed(A.Recv.empty() ? A.Lhs : A.Recv);
-    for (const auto &[App, ReqLoc] : MA->RequiresFalse) {
-      if (!OwnsChecks)
-        break;
+    const bool OwnsChecks =
+        allowed(nameIndex(A.Recv.empty() ? A.Lhs : A.Recv));
+    const std::string CallText =
+        OwnsChecks && !CM.Requires.empty() ? A.str() : std::string();
+    for (size_t R = 0; R != CM.Requires.size() && OwnsChecks; ++R) {
       Check C;
       C.Edge = E;
       C.Loc = A.Loc;
-      C.ReqLoc = ReqLoc;
-      C.What = A.str() + " requires !" + App.str(Abs.Families);
+      C.ReqLoc = MA->RequiresFalse[R].second;
+      C.What = CallText + CM.RequiresText[R];
       int VarIdx = -1;
-      switch (instantiateApp(App, B, VarIdx)) {
+      switch (instantiateApp(CM.Requires[R], VarIdx)) {
       case AppValue::False:
         C.Var = -1;
         C.ConstantViolated = false;
@@ -348,44 +405,35 @@ private:
       return;
 
     // Update rules.
-    for (const UpdateRule &R : MA->Rules) {
-      if (R.IsIdentity)
-        continue;
-      const PredicateFamily &Fam = Abs.Families[R.Family];
-      bool UsesRet = false;
-      for (bool S : R.RetSlots)
-        UsesRet |= S;
-      if (UsesRet && (A.Lhs.empty() || !allowed(A.Lhs)))
+    for (const wp::CompiledRule &R : CM.Rules) {
+      if (R.UsesRet && (Lhs < 0 || !allowed(Lhs)))
         continue; // Unnamed or out-of-restriction result: not tracked.
-      std::vector<std::string> Tuple(Fam.arity());
-      instantiateRule(E, A, R, Fam, B, 0, Tuple);
+      int Tuple[MaxSlots] = {};
+      instantiateRule(E, R, NParams, Lhs, 0, Tuple);
     }
   }
 
   /// Enumerates target tuples for rule \p R: "ret" slots take the call's
-  /// result variable; quantified slots range over the other component
-  /// variables of the slot type.
-  void instantiateRule(int E, const cj::Action &A, const UpdateRule &R,
-                       const PredicateFamily &Fam, const Binding &BaseBind,
-                       unsigned Slot, std::vector<std::string> &Tuple) {
-    if (Slot == Fam.arity()) {
-      Conjunction Body;
-      if (instantiateFamily(Fam, Tuple, Fam.VarTypes, Body) !=
-          InstResult::Conj)
+  /// result variable \p Lhs; quantified slots range over the other
+  /// component variables of the slot type.
+  void instantiateRule(int E, const wp::CompiledRule &R, size_t NParams,
+                       int Lhs, unsigned Slot, int *Tuple) {
+    const std::vector<int> &Types = T.SlotTypes[R.Family];
+    if (Slot == Types.size()) {
+      InstanceKey Key;
+      if (T.fold(R.Family, Tuple, Key) != wp::Folded::Var)
         return;
-      int Tgt = internVar(R.Family, Tuple, std::move(Body));
-
-      Binding B = BaseBind;
-      for (unsigned I = 0; I != Fam.arity(); ++I)
+      int Tgt = internVar(R.Family, Tuple, Key);
+      for (unsigned I = 0; I != Types.size(); ++I)
         if (!R.RetSlots[I])
-          B["$q" + std::to_string(I)] = Tuple[I];
+          Env[2 + NParams + I] = Tuple[I];
 
       BoolRhs Rhs;
       Rhs.K = BoolRhs::Kind::Or;
       Rhs.PlusOne = R.ConstantTrue;
-      for (const PredApp &Src : R.Sources) {
+      for (const wp::CompiledApp &Src : R.Sources) {
         int VarIdx = -1;
-        switch (instantiateApp(Src, B, VarIdx)) {
+        switch (instantiateApp(Src, VarIdx)) {
         case AppValue::False:
           break;
         case AppValue::True:
@@ -406,25 +454,35 @@ private:
       return;
     }
     if (R.RetSlots[Slot]) {
-      Tuple[Slot] = A.Lhs;
-      instantiateRule(E, A, R, Fam, BaseBind, Slot + 1, Tuple);
+      Tuple[Slot] = Lhs;
+      instantiateRule(E, R, NParams, Lhs, Slot + 1, Tuple);
       return;
     }
-    for (const std::string &V : varsOfType(Fam.VarTypes[Slot])) {
-      if (!A.Lhs.empty() && V == A.Lhs)
+    for (int V : VarsOfType[Types[Slot]]) {
+      if (V == Lhs)
         continue; // The result variable's facts come from ret slots.
       Tuple[Slot] = V;
-      instantiateRule(E, A, R, Fam, BaseBind, Slot + 1, Tuple);
+      instantiateRule(E, R, NParams, Lhs, Slot + 1, Tuple);
     }
   }
 
   const DerivedAbstraction &Abs;
+  const wp::InstanceTemplates &T;
   const cj::CFGMethod &M;
   DiagnosticEngine &Diags;
-  const BuildRestriction *Restrict;
+  const bool Restricted;
   const bool ChecksOnly;
   BooleanProgram Out;
-  std::map<std::string, int> VarIndex;
+  /// Per KeyNames index: inside the restriction.
+  std::vector<char> Allowed;
+  /// Per slot type id: the allowed component variables of that type.
+  std::vector<std::vector<int>> VarsOfType;
+  /// Per variable: its family arguments as KeyNames indices.
+  std::vector<std::array<int, MaxSlots>> ArgIdx;
+  /// Per variable: already assigned on the edge being lowered.
+  std::vector<char> AssignedOnEdge;
+  /// The call environment of the component call being lowered.
+  std::vector<int> Env;
 };
 
 } // namespace

@@ -10,7 +10,11 @@
 ///
 /// Boolean-variable identity is the canonical conjunction over client
 /// variables, which uniformly folds the paper's side conditions
-/// (same_{x,x} = 1, mutx_{x,x} = 0, mutx symmetry).
+/// (same_{x,x} = 1, mutx_{x,x} = 0, mutx symmetry). The conjunctions
+/// themselves are never built per client: instantiation substitutes
+/// variable indices into the rule templates compiled with the
+/// abstraction (wp/Templates.h), whose instance keys are equal exactly
+/// when the instantiated conjunctions are.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,18 +25,19 @@
 #include "wp/Abstraction.h"
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace canvas {
 namespace bp {
 
 /// One boolean variable: family instance over a tuple of client
-/// variables, identified canonically by its instantiated body.
+/// variables (the first instantiation that denoted it), identified
+/// canonically by its instantiated body.
 struct BoolVar {
   int Family = -1;
   std::vector<std::string> Args;
-  Conjunction Body;
-  /// Canonical identity and display string, e.g.
+  /// The instantiated body's rendering, e.g.
   /// "i1 != i2 && i1.set == i2.set".
   std::string Name;
 };
@@ -75,8 +80,17 @@ struct BooleanProgram {
   /// (target var, rhs) pairs; unlisted vars are unchanged.
   std::vector<std::vector<std::pair<int, BoolRhs>>> EdgeAssignments;
   std::vector<Check> Checks;
+  /// The client-variable names instance keys index: the method's
+  /// component variables, then any other operand the build met.
+  std::vector<std::string> KeyNames;
+  /// Instance key -> Vars index.
+  std::unordered_map<wp::InstanceKey, int, wp::InstanceKeyHash> VarOf;
 
-  int findVar(const std::string &Name) const;
+  /// Folds instance Family(Args) over client-variable names; for
+  /// wp::Folded::Var, \p VarOut is the variable it denotes, or -1 when
+  /// this program has none.
+  wp::Folded instance(int Family, const std::vector<std::string> &Args,
+                      int &VarOut) const;
   std::string str() const;
 };
 
@@ -98,13 +112,6 @@ BooleanProgram buildBooleanProgram(const wp::DerivedAbstraction &Abs,
 /// is emitted by exactly one slice's program.
 struct BuildRestriction {
   std::vector<std::string> Vars;
-
-  bool contains(const std::string &V) const {
-    for (const std::string &X : Vars)
-      if (X == V)
-        return true;
-    return false;
-  }
 };
 
 BooleanProgram buildBooleanProgram(const wp::DerivedAbstraction &Abs,

@@ -50,8 +50,6 @@ struct MethodInfo {
   BooleanProgram BP;
   /// Ghost variable names per component type (two each).
   std::map<std::string, std::array<std::string, 2>> Ghosts;
-  /// Canonical body -> BP var index.
-  std::map<std::string, int> VarIdx;
   std::vector<EdgeFlow> Flows;
 };
 
@@ -240,8 +238,6 @@ void InterprocProblem::build(const cj::ClientCFG &CFG,
   }
   for (MethodInfo &Info : Infos) {
     Info.BP = buildBooleanProgram(Abs, Info.Ext, Diags);
-    for (size_t V = 0; V != Info.BP.Vars.size(); ++V)
-      Info.VarIdx.emplace(Info.BP.Vars[V].Name, static_cast<int>(V));
     Info.Flows = computeEdgeFlows(Info.BP);
   }
 
@@ -311,21 +307,15 @@ bool InterprocProblem::mapTuple(const MethodInfo &Caller,
 int InterprocProblem::instantiateIn(const MethodInfo &Info, int Family,
                                     const std::vector<std::string> &Args,
                                     int &VarOut) const {
-  const PredicateFamily &Fam = Abs.Families[Family];
-  Conjunction Body;
-  switch (instantiateFamily(Fam, Args, Fam.VarTypes, Body)) {
-  case InstResult::False:
+  switch (Info.BP.instance(Family, Args, VarOut)) {
+  case Folded::False:
     return 0;
-  case InstResult::True:
+  case Folded::True:
     return 1;
-  case InstResult::Conj:
+  case Folded::Var:
     break;
   }
-  auto It = Info.VarIdx.find(conjunctionStr(Body));
-  if (It == Info.VarIdx.end())
-    return 1; // Unknown instance: conservative.
-  VarOut = It->second;
-  return 2;
+  return VarOut < 0 ? 1 : 2; // Unknown instance: conservative.
 }
 
 std::vector<int> InterprocProblem::factFeeders(const MethodInfo &Caller,

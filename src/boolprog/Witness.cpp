@@ -1,6 +1,6 @@
 #include "boolprog/Witness.h"
 
-#include "ifds/Solver.h"
+#include <algorithm>
 
 using namespace canvas;
 using namespace canvas::bp;
@@ -9,6 +9,8 @@ std::vector<EdgeFlow> bp::computeEdgeFlows(const BooleanProgram &BP) {
   size_t NVars = BP.Vars.size();
   std::vector<EdgeFlow> Flows(BP.EdgeAssignments.size());
   for (size_t E = 0; E != BP.EdgeAssignments.size(); ++E) {
+    if (BP.EdgeAssignments[E].empty())
+      continue; // The identity: empty tables (see applyEdgeFlow).
     EdgeFlow &F = Flows[E];
     F.Assigned.assign(NVars, 0);
     F.VarToTargets.resize(NVars);
@@ -46,6 +48,10 @@ void bp::applyEdgeFlow(const EdgeFlow &Flow, int Fact,
   int V = Fact - 1;
   if (Kills && (*Kills)[V])
     return; // Refined to 0: the fact dies, and feeds nothing.
+  if (Flow.Assigned.empty()) {
+    Out.push_back(Fact); // An edge without assignments.
+    return;
+  }
   if (!Flow.Assigned[V])
     Out.push_back(Fact);
   for (int T : Flow.VarToTargets[V])
@@ -64,11 +70,14 @@ bp::renderTrace(const std::vector<ifds::TraceStep> &Steps,
       return "";
     return Procs[Proc].BP->Vars[Fact - 1].Name;
   };
+  std::vector<std::string> MethodNames(Procs.size());
   for (const ifds::TraceStep &S : Steps) {
     const TraceRenderProc &P = Procs[S.Proc];
     const cj::CFGEdge &E = P.M->Edges[S.CFGEdge];
     core::WitnessStep W;
-    W.Method = P.M->name();
+    if (MethodNames[S.Proc].empty())
+      MethodNames[S.Proc] = P.M->name();
+    W.Method = MethodNames[S.Proc];
     W.Edge = S.CFGEdge;
     W.Loc = E.Act.Loc;
     W.ActionText = E.Act.str();
@@ -105,98 +114,104 @@ core::WitnessStep bp::renderCheckStep(const cj::CFGMethod &M,
   return W;
 }
 
-//===----------------------------------------------------------------------===//
-// IntraWitnessEngine
-//===----------------------------------------------------------------------===//
+std::vector<core::WitnessTrace> bp::intraWitnesses(const BooleanProgram &BP,
+                                                   const IntraResult &R) {
+  const cj::CFGMethod &M = *BP.CFG;
+  const size_t NF = 1 + BP.Vars.size();
+  const size_t NStates = static_cast<size_t>(M.NumNodes) * NF;
+  auto Flagged = [&](size_t I) {
+    return R.CheckResults[I] == CheckOutcome::Potential ||
+           R.CheckResults[I] == CheckOutcome::Definite;
+  };
+  // The exploded state a check's witness must reach.
+  auto TargetOf = [&](const Check &C) {
+    const int Fact = C.Var >= 0 ? 1 + C.Var : ifds::LambdaFact;
+    return static_cast<size_t>(M.Edges[C.Edge].From) * NF +
+           static_cast<size_t>(Fact);
+  };
 
-namespace {
+  std::vector<char> IsTarget(NStates, 0);
+  size_t Pending = 0;
+  for (size_t I = 0; I != BP.Checks.size(); ++I)
+    if (Flagged(I)) {
+      char &T = IsTarget[TargetOf(BP.Checks[I])];
+      if (!T)
+        ++Pending;
+      T = 1;
+    }
 
-/// The single-procedure exploded problem of one boolean program, with
-/// requires-check kills (AssumeChecksPass): crossing a checked call
-/// refines the checked variable to 0.
-class IntraProblem : public ifds::Problem {
-public:
-  explicit IntraProblem(const BooleanProgram &BP) : BP(BP) {
-    const cj::CFGMethod &M = *BP.CFG;
-    View.Entry = M.Entry;
-    View.Exit = M.Exit;
-    View.NumNodes = M.NumNodes;
-    for (const cj::CFGEdge &E : M.Edges)
-      View.Edges.push_back({E.From, E.To, -1});
-    Flows = computeEdgeFlows(BP);
-    Kills.assign(M.Edges.size(), {});
-    for (const Check &C : BP.Checks)
-      if (C.Var >= 0) {
-        if (Kills[C.Edge].empty())
-          Kills[C.Edge].assign(BP.Vars.size(), 0);
-        Kills[C.Edge][C.Var] = 1;
+  // The edges the fixpoint keeps live, and the checked variables each
+  // edge refines to 0.
+  const EdgeTransfer Transfer(BP);
+  const std::vector<EdgeFlow> Flows = computeEdgeFlows(BP);
+  std::vector<std::vector<int>> LiveOut(M.NumNodes);
+  std::vector<std::vector<char>> Kills(M.Edges.size());
+  StateVec Scratch;
+  for (size_t E = 0; E != M.Edges.size(); ++E) {
+    const int From = M.Edges[E].From;
+    if (R.reachable(From) &&
+        Transfer.apply(static_cast<int>(E), R.In[From], Scratch))
+      LiveOut[From].push_back(static_cast<int>(E));
+  }
+  for (const Check &C : BP.Checks)
+    if (C.Var >= 0) {
+      if (Kills[C.Edge].empty())
+        Kills[C.Edge].assign(BP.Vars.size(), 0);
+      Kills[C.Edge][C.Var] = 1;
+    }
+
+  // Breadth-first from every entry fact; Pred links give shortest
+  // paths. Unseen = -2, seed = -1.
+  std::vector<int> Pred(NStates, -2), PredEdge(NStates, -1);
+  std::vector<size_t> Queue; // Each state is queued at most once.
+  Queue.reserve(NStates);
+  for (size_t F = 0; F != NF; ++F) {
+    const size_t S = static_cast<size_t>(M.Entry) * NF + F;
+    Pred[S] = -1;
+    Queue.push_back(S);
+    if (IsTarget[S])
+      --Pending;
+  }
+  std::vector<int> Succ;
+  for (size_t Head = 0; Head != Queue.size() && Pending; ++Head) {
+    const size_t S = Queue[Head];
+    const int Node = static_cast<int>(S / NF);
+    const int Fact = static_cast<int>(S % NF);
+    for (int E : LiveOut[Node]) {
+      Succ.clear();
+      applyEdgeFlow(Flows[E], Fact, Kills[E].empty() ? nullptr : &Kills[E],
+                    Succ);
+      for (int F : Succ) {
+        const size_t To = static_cast<size_t>(M.Edges[E].To) * NF +
+                          static_cast<size_t>(F);
+        if (Pred[To] != -2)
+          continue;
+        Pred[To] = static_cast<int>(S);
+        PredEdge[To] = E;
+        Queue.push_back(To);
+        if (IsTarget[To])
+          --Pending;
       }
+    }
   }
 
-  int numProcs() const override { return 1; }
-  const ifds::ProcView &proc(int) const override { return View; }
-  int entryProc() const override { return 0; }
-  int numFacts(int) const override {
-    return 1 + static_cast<int>(BP.Vars.size());
+  std::vector<core::WitnessTrace> Out(BP.Checks.size());
+  const std::vector<TraceRenderProc> Procs = {{&M, &BP}};
+  for (size_t I = 0; I != BP.Checks.size(); ++I) {
+    size_t S = TargetOf(BP.Checks[I]);
+    if (!Flagged(I) || Pred[S] == -2)
+      continue;
+    std::vector<ifds::TraceStep> Steps;
+    for (; Pred[S] >= 0; S = static_cast<size_t>(Pred[S])) {
+      ifds::TraceStep Step;
+      Step.Proc = 0;
+      Step.CFGEdge = PredEdge[S];
+      Step.Fact = static_cast<int>(S % NF);
+      Steps.push_back(Step);
+    }
+    std::reverse(Steps.begin(), Steps.end());
+    Out[I] = renderTrace(Steps, Procs, 0, static_cast<int>(S % NF));
+    Out[I].Steps.push_back(renderCheckStep(M, BP, BP.Checks[I]));
   }
-
-  void initialFacts(std::vector<int> &Out) const override {
-    // Component variables are unconstrained at method entry: every
-    // fact may be 1.
-    for (int F = 0; F != numFacts(0); ++F)
-      Out.push_back(F);
-  }
-
-  void flowNormal(int, int Edge, int Fact,
-                  std::vector<int> &Out) const override {
-    applyEdgeFlow(Flows[Edge], Fact,
-                  Kills[Edge].empty() ? nullptr : &Kills[Edge], Out);
-  }
-
-  // No call edges in a single-procedure view.
-  void flowCall(int, int, int, std::vector<int> &) const override {}
-  void flowCallToReturn(int, int, int, std::vector<int> &) const override {}
-  void flowSummary(int, int, int, int, int,
-                   std::vector<int> &) const override {}
-
-private:
-  const BooleanProgram &BP;
-  ifds::ProcView View;
-  std::vector<EdgeFlow> Flows;
-  std::vector<std::vector<char>> Kills;
-};
-
-} // namespace
-
-struct IntraWitnessEngine::Impl {
-  explicit Impl(const BooleanProgram &BP)
-      : BP(BP), Prob(BP), Solve(Prob), Build(nullptr) {
-    Solve.solve();
-    Build = std::make_unique<ifds::WitnessBuilder>(Solve);
-  }
-
-  const BooleanProgram &BP;
-  IntraProblem Prob;
-  ifds::Solver Solve;
-  std::unique_ptr<ifds::WitnessBuilder> Build;
-};
-
-IntraWitnessEngine::IntraWitnessEngine(const BooleanProgram &BP)
-    : I(std::make_unique<Impl>(BP)) {}
-
-IntraWitnessEngine::~IntraWitnessEngine() = default;
-
-core::WitnessTrace IntraWitnessEngine::witnessFor(size_t CheckIdx) const {
-  const BooleanProgram &BP = I->BP;
-  const Check &C = BP.Checks[CheckIdx];
-  int From = BP.CFG->Edges[C.Edge].From;
-  int Fact = C.Var >= 0 ? 1 + C.Var : ifds::LambdaFact;
-  std::vector<ifds::TraceStep> Steps;
-  int Seed = ifds::LambdaFact;
-  if (!I->Build->reconstruct(0, From, Fact, Steps, Seed))
-    return {};
-  std::vector<TraceRenderProc> Procs = {{BP.CFG, &BP}};
-  core::WitnessTrace T = renderTrace(Steps, Procs, 0, Seed);
-  T.Steps.push_back(renderCheckStep(*BP.CFG, BP, C));
-  return T;
+  return Out;
 }

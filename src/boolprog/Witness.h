@@ -4,21 +4,19 @@
 /// Witness support for the boolean-program certifiers: the exploded
 /// (per-fact) reading of a boolean program's parallel assignments,
 /// rendering of IFDS trace steps into the shared core::WitnessTrace
-/// vocabulary, and a per-program witness engine for the
-/// intraprocedural engines (a single-procedure IFDS tabulation with
-/// predecessor recording, run only to extract evidence paths for
-/// checks the precise possible-value analysis already flagged).
+/// vocabulary, and the intraprocedural witnesses, read off the
+/// possible-value fixpoint that decided the verdicts.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CANVAS_BOOLPROG_WITNESS_H
 #define CANVAS_BOOLPROG_WITNESS_H
 
+#include "boolprog/Analysis.h"
 #include "boolprog/BooleanProgram.h"
 #include "core/Verdict.h"
 #include "ifds/Witness.h"
 
-#include <memory>
 #include <vector>
 
 namespace canvas {
@@ -26,8 +24,8 @@ namespace bp {
 
 /// The exploded-edge reading of one edge's parallel assignment, over
 /// facts 0 = Lambda, 1+v = "boolean variable v may be 1". Shared by
-/// the intraprocedural witness engine and the interprocedural IFDS
-/// adapter.
+/// the intraprocedural witness walk and the interprocedural IFDS
+/// adapter. An edge without assignments has empty tables.
 struct EdgeFlow {
   /// Targets t whose assignment may produce 1 regardless of the input
   /// state (constant 1, havoc, or a PlusOne disjunction).
@@ -63,26 +61,17 @@ core::WitnessTrace renderTrace(const std::vector<ifds::TraceStep> &Steps,
 core::WitnessStep renderCheckStep(const cj::CFGMethod &M,
                                   const BooleanProgram &BP, const Check &C);
 
-/// Witness engine for one (possibly slice-restricted) boolean program:
-/// solves the single-procedure exploded reachability once, then
-/// reconstructs a shortest evidence path per flagged check. The
-/// exploded domain over-approximates the possible-value analysis (the
-/// definite-violation path cut of AssumeChecksPass is not
-/// distributive), so every check the precise engine flags Potential
-/// has a witness here.
-class IntraWitnessEngine {
-public:
-  explicit IntraWitnessEngine(const BooleanProgram &BP);
-  ~IntraWitnessEngine();
-
-  /// A shortest witness for check \p CheckIdx, ending with a
-  /// Kind::Check step; empty when the check's fact is unreached.
-  core::WitnessTrace witnessFor(size_t CheckIdx) const;
-
-private:
-  struct Impl;
-  std::unique_ptr<Impl> I;
-};
+/// Shortest witnesses for the flagged checks of \p BP, read off \p R,
+/// its analyzeIntraproc fixpoint under AssumeChecksPass. One
+/// breadth-first walk over the exploded (node, fact) graph, seeded with
+/// Lambda and every entry fact, follows only the edges the fixpoint
+/// keeps live (EdgeTransfer::apply succeeds on the source state), with
+/// a checked variable killed past its check. Given those live edges the
+/// walk's 1-facts are exactly the fixpoint's may-be-1 bits, so every
+/// Potential or Definite check gets a witness. Indexed like BP.Checks;
+/// empty for checks that are not flagged.
+std::vector<core::WitnessTrace> intraWitnesses(const BooleanProgram &BP,
+                                               const IntraResult &R);
 
 } // namespace bp
 } // namespace canvas

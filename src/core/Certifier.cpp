@@ -543,10 +543,10 @@ bool certifyMethodSliced(const wp::DerivedAbstraction &Abs,
       return false; // A check no slice owns cannot be claimed.
 
   // Merged verdicts in canonical order; witnesses come from the owning
-  // slice's engine (the restricted program runs on the original CFG, so
-  // no edge remapping is needed).
+  // slice's fixpoint (the restricted program runs on the original CFG,
+  // so no edge remapping is needed).
   std::vector<CheckOutcome> Outcomes(CanonChecks.size());
-  std::vector<std::unique_ptr<bp::IntraWitnessEngine>> WEs(BPs.size());
+  std::vector<std::vector<WitnessTrace>> Witnesses(BPs.size());
   for (size_t I = 0; I != CanonChecks.size(); ++I) {
     const int SI = Owner[I].first, J = Owner[I].second;
     Outcomes[I] = Rs[SI].CheckResults[J];
@@ -557,9 +557,9 @@ bool certifyMethodSliced(const wp::DerivedAbstraction &Abs,
     V.ReqLoc = CanonChecks[I].ReqLoc;
     V.Outcome = Outcomes[I];
     if (V.Outcome == CheckOutcome::Potential) {
-      if (!WEs[SI])
-        WEs[SI] = std::make_unique<bp::IntraWitnessEngine>(BPs[SI]);
-      V.Witness = WEs[SI]->witnessFor(J);
+      if (Witnesses[SI].empty())
+        Witnesses[SI] = bp::intraWitnesses(BPs[SI], Rs[SI]);
+      V.Witness = std::move(Witnesses[SI][J]);
     }
     Out.Checks.push_back(std::move(V));
   }
@@ -738,7 +738,9 @@ void runEngine(EngineKind K, const easl::Spec &S,
           if (Opts.EmitCertificates)
             Out.Certs.push_back(timed(
                 Out.EmitMicros, [&] { return cert::emitBoolIntra(BP, R); }));
-          std::unique_ptr<bp::IntraWitnessEngine> WE;
+          std::vector<WitnessTrace> Witnesses;
+          if (R.numFlagged())
+            Witnesses = bp::intraWitnesses(BP, R);
           for (size_t I = 0; I != BP.Checks.size(); ++I) {
             CheckVerdict V;
             V.Method = M.name();
@@ -746,12 +748,8 @@ void runEngine(EngineKind K, const easl::Spec &S,
             V.What = BP.Checks[I].What;
             V.Outcome = R.CheckResults[I];
             V.ReqLoc = BP.Checks[I].ReqLoc;
-            if (V.Outcome == CheckOutcome::Potential ||
-                V.Outcome == CheckOutcome::Definite) {
-              if (!WE)
-                WE = std::make_unique<bp::IntraWitnessEngine>(BP);
-              V.Witness = WE->witnessFor(I);
-            }
+            if (!Witnesses.empty())
+              V.Witness = std::move(Witnesses[I]);
             Out.Checks.push_back(std::move(V));
           }
         });

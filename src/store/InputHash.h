@@ -31,8 +31,11 @@ namespace store {
 
 /// The store entry format version, folded into every context
 /// fingerprint so a layout change invalidates old entries wholesale
-/// instead of misparsing them.
-inline constexpr uint32_t EntryFormatVersion = 1;
+/// instead of misparsing them. Version 2: SCMPIntra witnesses are read
+/// off the possible-value fixpoint, which breaks ties between
+/// equal-length paths differently, so version-1 entries carry stale
+/// witness text.
+inline constexpr uint32_t EntryFormatVersion = 2;
 
 /// Folds the run-wide certification context into one seed: the FNV-1a
 /// hash of the spec source, the derived abstraction's rendering, the

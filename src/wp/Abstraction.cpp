@@ -134,20 +134,3 @@ InstResult wp::instantiateFamily(const PredicateFamily &F,
   }
   return finishInstantiation(Out);
 }
-
-InstResult wp::renameRootInConjunction(const Conjunction &C,
-                                       const std::string &From,
-                                       const std::string &To,
-                                       const std::string &ToType,
-                                       Conjunction &Out) {
-  Out.clear();
-  for (const Literal &L : C) {
-    auto SubstRoot = [&](const Path &P) {
-      if (P.rootKind() == Path::RootKind::Var && P.rootName() == From)
-        return P.withRoot(To, ToType);
-      return P;
-    };
-    Out.emplace_back(L.Negated, SubstRoot(L.Lhs), SubstRoot(L.Rhs));
-  }
-  return finishInstantiation(Out);
-}

@@ -14,6 +14,7 @@
 #include "easl/AST.h"
 #include "logic/Formula.h"
 #include "support/Diagnostics.h"
+#include "wp/Templates.h"
 
 #include <string>
 #include <vector>
@@ -115,6 +116,10 @@ struct DerivedAbstraction {
   /// Number of WP computations performed (reported by the derivation
   /// benchmarks).
   unsigned NumWPComputations = 0;
+  /// Families, update rules, and requires clauses compiled for client
+  /// instantiation by integer substitution (wp/Templates.h). Not part of
+  /// str(): they are a function of the rest.
+  InstanceTemplates Templates;
 
   const MethodAbstraction *findMethod(const std::string &ClassName,
                                       const std::string &MethodName) const;
@@ -159,14 +164,6 @@ InstResult instantiateFamily(const PredicateFamily &F,
                              const std::vector<std::string> &Args,
                              const std::vector<std::string> &ArgTypes,
                              Conjunction &Out);
-
-/// Renames root variable \p From to \p To (with type \p ToType) in \p C
-/// and renormalizes. Used for client copy statements "x = y".
-InstResult renameRootInConjunction(const Conjunction &C,
-                                   const std::string &From,
-                                   const std::string &To,
-                                   const std::string &ToType,
-                                   Conjunction &Out);
 
 } // namespace wp
 } // namespace canvas

@@ -73,6 +73,7 @@ public:
     processWorklist();
     for (Entry &E : Entries)
       Result.Methods.push_back(std::move(E.Abs));
+    compileTemplates(Result);
     return std::move(Result);
   }
 

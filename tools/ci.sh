@@ -40,7 +40,18 @@ step "asan: tvla / boolprog / cert suites (arena + packed-word paths)"
 # tests) as a named ASan pass so a use-after-reset or overflow in the
 # packed codecs is called out here, not buried in the full suite.
 run_ctest --preset sanitize -j "$JOBS" \
-  -R 'Arena|StateVec|Structure|TVLA|Intraprocedural|Interprocedural|Witness|Cert|Checker|SlicePartition'
+  -R 'Arena|StateVec|Structure|TVLA|Intraprocedural|Interprocedural|Witness|Cert|Checker|SlicePartition|BuildGolden|CorpusWitness'
+
+step "perfbench package: build + helper tests"
+# perfbench/ is a CMake package of its own (it builds ../src with the
+# benchmark binary), so the repo's ctest never sees its helper tests
+# (statistics, stream clock, trace writer); build it in a scratch dir
+# and run them here.
+PERFBENCH_DIR="$(mktemp -d)"
+cmake -S perfbench -B "$PERFBENCH_DIR" >/dev/null
+cmake --build "$PERFBENCH_DIR" -j "$JOBS" --target perfbench perfbench_test
+"$PERFBENCH_DIR/perfbench_test"
+rm -rf "$PERFBENCH_DIR"
 
 step "bench smoke: grinder tvla-relational vs committed baseline"
 # Captures a fresh BENCH_tvla line set into a scratch file (default
@@ -101,7 +112,7 @@ step "ubsan: certificate and engine suites"
 # cert suite plus every engine suite under UBSan alone (no ASan
 # interposition), so integer/shift/bounds UB surfaces directly.
 run_ctest --preset ubsan -j "$JOBS" \
-  -R 'Cert|Checker|Boolprog|Intraprocedural|Interprocedural|Ifds|Solver|TVLA|Structure|Baseline|Certifier|Store|CrashRecovery|InputHash'
+  -R 'Cert|Checker|Boolprog|Intraprocedural|Interprocedural|Ifds|Solver|TVLA|Structure|Baseline|Certifier|Store|CrashRecovery|InputHash|BuildGolden|CorpusWitness'
 
 step "store crash-recovery suite (sanitize)"
 # The persistent-store suite injects a crash (exception and torn short
