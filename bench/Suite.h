@@ -353,6 +353,32 @@ inline const std::vector<BenchClient> &aliasSuite() {
   return Suite;
 }
 
+/// One method with \p K independent Set pipelines of \p M iterators
+/// each. Every iterator advances in its pipeline's loop, where a
+/// mutation refreshes the first iterator and leaves the rest stale. No
+/// action relates two pipelines, so Stage 0 splits the method into K
+/// slices: the unpartitioned boolean program instantiates every
+/// predicate over every pair of pipelines, the partitioned one only
+/// within each pipeline.
+inline std::string pipelinesClient(unsigned K, unsigned M) {
+  std::string Src = "class Pipelines { void main() {\n";
+  for (unsigned P = 0; P != K; ++P) {
+    const std::string S = "s" + std::to_string(P);
+    auto It = [&](unsigned I) {
+      return "i" + std::to_string(P) + "n" + std::to_string(I);
+    };
+    Src += "  Set " + S + " = new Set();\n";
+    for (unsigned I = 0; I != M; ++I)
+      Src += "  Iterator " + It(I) + " = " + S + ".iterator();\n";
+    Src += "  while (*) {\n";
+    for (unsigned I = 0; I != M; ++I)
+      Src += "    " + It(I) + ".next();\n";
+    Src += "    if (*) { " + S + ".add(); " + It(0) + " = " + S +
+           ".iterator(); }\n  }\n";
+  }
+  return Src + "} }\n";
+}
+
 } // namespace bench
 } // namespace canvas
 

@@ -16,6 +16,7 @@
 
 #include "core/Certifier.h"
 #include "core/Evaluation.h"
+#include "dataflow/PreAnalysis.h"
 #include "easl/Builtins.h"
 
 #include <algorithm>
@@ -115,35 +116,41 @@ void printTable() {
 }
 
 //===----------------------------------------------------------------------===//
-// Stage-0 pre-analysis ablation: SCMPIntra with the pre-analysis on
-// versus off, reporting certification time, total and peak boolean
-// program size B, and the Stage-0 statistics. Emitted both as a table
-// and as one machine-readable JSON object on stdout.
+// Stage-0 partition: per suite client, SCMPIntra's boolean programs
+// built over the Stage-0 slice partition versus unpartitioned — total
+// and peak B, and the min-of-N build + fixpoint time summed over the
+// client's methods — plus the certifier's own slicing statistics.
+// Emitted both as a table and as one machine-readable JSON object on
+// stdout.
 //===----------------------------------------------------------------------===//
 
-struct StageZeroSide {
-  double Micros = 0; ///< Best-of-5 certification time.
+struct BuildSide {
+  double Micros = 0; ///< Best-of-5 build + fixpoint over all methods.
   size_t BoolVars = 0;
   size_t MaxBoolVars = 0;
-  PreAnalysisSummary Pre;
-  CertificationReport Report;
+  std::vector<CheckOutcome> Outcomes;
 };
 
-StageZeroSide runStageZeroSide(const bench::BenchClient &Client,
-                               bool PreAnalysis) {
-  StageZeroSide Side;
-  DiagnosticEngine Diags;
-  CertifierOptions Opts;
-  Opts.PreAnalysis = PreAnalysis;
-  Certifier C(easl::cmpSpecSource(), EngineKind::SCMPIntra, Diags, {}, Opts);
-  cj::Program P = cj::parseProgram(Client.Source, Diags);
+BuildSide runBuildSide(const wp::DerivedAbstraction &Abs,
+                       const dataflow::PreAnalysisResult &PA,
+                       bool Partitioned) {
+  BuildSide Side;
   Side.Micros = bench::minOfN([&] {
-    DiagnosticEngine D2;
-    Side.Report = C.certify(P, D2);
+    Side.BoolVars = Side.MaxBoolVars = 0;
+    Side.Outcomes.clear();
+    for (const dataflow::MethodPlan &Plan : PA.Plans) {
+      DiagnosticEngine D;
+      const bp::BooleanProgram BP =
+          Partitioned && Plan.multiSlice()
+              ? bp::buildBooleanProgram(Abs, *Plan.Source, D, Plan.Slices)
+              : bp::buildBooleanProgram(Abs, *Plan.Source, D);
+      const bp::IntraResult R = bp::analyzeIntraproc(BP);
+      Side.BoolVars += BP.Vars.size();
+      Side.MaxBoolVars = std::max(Side.MaxBoolVars, BP.Vars.size());
+      Side.Outcomes.insert(Side.Outcomes.end(), R.CheckResults.begin(),
+                           R.CheckResults.end());
+    }
   });
-  Side.BoolVars = Side.Report.BoolVars;
-  Side.MaxBoolVars = Side.Report.MaxBoolVars;
-  Side.Pre = Side.Report.Pre;
   return Side;
 }
 
@@ -160,37 +167,43 @@ bool sameVerdicts(const CertificationReport &A, const CertificationReport &B) {
 }
 
 void printStageZero() {
-  std::printf("=== Stage-0 pre-analysis ablation (scmp-intra) ===\n");
-  std::printf("%-20s | %21s | %35s | %s\n", "client", "off:   B maxB    us",
-              "on:   B maxB    us slices dse prune", "same");
-  std::string Json = "{\"bench\":\"stage0-preanalysis\",\"engine\":"
+  std::printf("=== Stage-0 partition (scmp-intra build + fixpoint) ===\n");
+  std::printf("%-20s | %21s | %28s | %s\n", "client",
+              "unpart:  B maxB    us", "part:  B maxB    us slices", "same");
+  std::string Json = "{\"bench\":\"stage0-partition\",\"engine\":"
                      "\"scmp-intra\",\"clients\":[";
   bool First = true;
   for (const bench::BenchClient &Client : bench::cmpSuite()) {
-    StageZeroSide Off = runStageZeroSide(Client, false);
-    StageZeroSide On = runStageZeroSide(Client, true);
-    bool Same = sameVerdicts(On.Report, Off.Report);
-    std::printf("%-20s | %9zu %4zu %5.0f | %9zu %4zu %5.0f %6u %3u %5u | %s\n",
-                Client.Name, Off.BoolVars, Off.MaxBoolVars, Off.Micros,
-                On.BoolVars, On.MaxBoolVars, On.Micros, On.Pre.SliceRuns,
-                On.Pre.DeadStoresRemoved, On.Pre.EdgesPruned,
-                Same ? "yes" : "NO");
+    DiagnosticEngine Diags;
+    Certifier C(easl::cmpSpecSource(), EngineKind::SCMPIntra, Diags);
+    cj::Program P = cj::parseProgram(Client.Source, Diags);
+    cj::ClientCFG CFG = cj::buildCFG(P, C.spec(), Diags);
+    const dataflow::PreAnalysisResult PA =
+        dataflow::preAnalyze(CFG, C.abstraction());
+    const BuildSide Whole = runBuildSide(C.abstraction(), PA, false);
+    const BuildSide Parts = runBuildSide(C.abstraction(), PA, true);
+    const CertificationReport Report = C.certify(P, Diags);
+    const bool Same = Whole.Outcomes == Parts.Outcomes;
+    std::printf("%-20s | %9zu %4zu %5.0f | %9zu %4zu %5.0f %6u | %s\n",
+                Client.Name, Whole.BoolVars, Whole.MaxBoolVars, Whole.Micros,
+                Parts.BoolVars, Parts.MaxBoolVars, Parts.Micros,
+                PA.multiSliceMethods(), Same ? "yes" : "NO");
     char Buf[512];
     std::snprintf(
         Buf, sizeof(Buf),
         "%s{\"name\":\"%s\","
-        "\"off\":{\"us\":%.1f,\"boolvars\":%zu,\"max_boolvars\":%zu},"
-        "\"on\":{\"us\":%.1f,\"boolvars\":%zu,\"max_boolvars\":%zu,"
-        "\"slice_runs\":%u,\"multi_slice_methods\":%u,\"fallbacks\":%u,"
-        "\"dead_stores\":%u,\"vars_dropped\":%u,\"edges_pruned\":%u},"
+        "\"unpartitioned\":{\"us\":%.1f,\"boolvars\":%zu,"
+        "\"max_boolvars\":%zu},"
+        "\"partitioned\":{\"us\":%.1f,\"boolvars\":%zu,"
+        "\"max_boolvars\":%zu,\"slice_runs\":%u,"
+        "\"multi_slice_methods\":%u},"
         "\"verdicts_identical\":%s,\"stages\":",
-        First ? "" : ",", Client.Name, Off.Micros, Off.BoolVars,
-        Off.MaxBoolVars, On.Micros, On.BoolVars, On.MaxBoolVars,
-        On.Pre.SliceRuns, On.Pre.MultiSliceMethods, On.Pre.FallbackMethods,
-        On.Pre.DeadStoresRemoved, On.Pre.VarsDropped, On.Pre.EdgesPruned,
+        First ? "" : ",", Client.Name, Whole.Micros, Whole.BoolVars,
+        Whole.MaxBoolVars, Parts.Micros, Parts.BoolVars, Parts.MaxBoolVars,
+        Report.Pre.SliceRuns, Report.Pre.MultiSliceMethods,
         Same ? "true" : "false");
     Json += Buf;
-    Json += stagesJson(On.Report) + "}";
+    Json += stagesJson(Report) + "}";
     First = false;
   }
   Json += "]}";

@@ -4,7 +4,10 @@
 // O(E * B^2) (Section 4.3), where E is the number of CFG edges and B
 // the number of iterator/collection variables. Synthetic clients sweep
 // B (iterator count) and E (statement count) independently; the series
-// should grow quadratically in B and linearly in E.
+// should grow quadratically in B and linearly in E. A third series
+// shows what the Stage-0 slice partition saves at large B: K
+// independent pipelines of M iterators, built and analyzed with and
+// without the partition.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +16,7 @@
 #include "boolprog/Analysis.h"
 #include "client/CFG.h"
 #include "client/Parser.h"
+#include "dataflow/PreAnalysis.h"
 #include "easl/Builtins.h"
 #include "tvla/Certify.h"
 
@@ -97,6 +101,53 @@ void printSeries() {
   for (unsigned E : {8, 16, 32, 64, 128, 256})
     printRow(E, prepare(clientWithStatements(E)));
   std::printf("\n");
+}
+
+/// One row of the pipelines series: B and the min-of-N build + fixpoint
+/// time of main()'s boolean program, unpartitioned and over the Stage-0
+/// slice partition; appends the row's JSON object to \p Json.
+void printPipelinesRow(unsigned K, unsigned M, std::string &Json) {
+  const Prepared P = prepare(bench::pipelinesClient(K, M));
+  const cj::CFGMethod &Main = *P.CFG.mainCFG();
+  const dataflow::PreAnalysisResult PA = dataflow::preAnalyze(P.CFG, P.Abs);
+  const std::vector<std::vector<std::string>> &Parts =
+      PA.Plans[&Main - P.CFG.Methods.data()].Slices;
+  DiagnosticEngine Diags;
+  size_t PartB = 0;
+  const double WholeUs = bench::minOfN([&] {
+    bp::BooleanProgram BP = bp::buildBooleanProgram(P.Abs, Main, Diags);
+    benchmark::DoNotOptimize(bp::analyzeIntraproc(BP).Iterations);
+  });
+  const double PartUs = bench::minOfN([&] {
+    bp::BooleanProgram BP = bp::buildBooleanProgram(P.Abs, Main, Diags, Parts);
+    PartB = BP.Vars.size();
+    benchmark::DoNotOptimize(bp::analyzeIntraproc(BP).Iterations);
+  });
+  std::printf("%4u %4u %6zu %10zu %8zu %12.0f %10.0f %8.1fx\n", K, M,
+              Parts.size(), P.BP.Vars.size(), PartB, WholeUs, PartUs,
+              WholeUs / PartUs);
+  char Buf[256];
+  std::snprintf(Buf, sizeof(Buf),
+                "%s{\"k\":%u,\"m\":%u,\"slices\":%zu,"
+                "\"unpartitioned\":{\"boolvars\":%zu,\"us\":%.0f},"
+                "\"partitioned\":{\"boolvars\":%zu,\"us\":%.0f}}",
+                Json.back() == '[' ? "" : ",", K, M, Parts.size(),
+                P.BP.Vars.size(), WholeUs, PartB, PartUs);
+  Json += Buf;
+}
+
+void printPipelinesSeries() {
+  std::printf("=== Pipelines: K independent Set pipelines of M iterators; "
+              "build + fixpoint ===\n");
+  std::printf("%4s %4s %6s %10s %8s %12s %10s %9s\n", "K", "M", "slices",
+              "B unpart", "B part", "unpart (us)", "part (us)", "speedup");
+  std::string Json = "{\"bench\":\"scmp-pipelines\",\"series\":[";
+  const std::pair<unsigned, unsigned> Shapes[] = {
+      {4, 4}, {8, 4}, {8, 8}, {16, 4}, {16, 8}, {8, 16}, {4, 32}, {32, 4}};
+  for (const auto &[K, M] : Shapes)
+    printPipelinesRow(K, M, Json);
+  Json += "]}";
+  std::printf("\nBENCH_JSON %s\n\n", Json.c_str());
 }
 
 /// B iterators over one set, each refreshed and consumed inside a
@@ -187,6 +238,7 @@ BENCHMARK(BM_AnalyzeByStatements)
 
 int main(int argc, char **argv) {
   printSeries();
+  printPipelinesSeries();
   printTVLASeries();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -1,20 +1,21 @@
 //===----------------------------------------------------------------------===//
 //
-// Stage-0 pre-analysis tour: the monotone-dataflow passes that run on
-// the client before any certification engine.
+// Stage-0 pre-analysis tour: the two monotone-dataflow passes that run
+// on the client before any certification engine.
 //
 // Shows, end to end:
 //   - the definite-assignment conformance lint firing on a client that
 //     may call a requires-bearing method on an uninitialized component
 //     reference, with a precise source location and no engine involved,
-//   - the per-method pre-analysis plan (pruned edges, dead stores,
-//     instance slices) for a client with several independent
+//   - the slice partition of a client with several independent
 //     component pipelines, and
-//   - an on/off certification comparison: identical verdicts, smaller
-//     boolean programs.
+//   - the SCMPIntra certification of that client: one boolean program
+//     per method over the partition, smaller than the unpartitioned
+//     program, with the same verdicts.
 //
 //===----------------------------------------------------------------------===//
 
+#include "boolprog/Analysis.h"
 #include "client/Parser.h"
 #include "core/Certifier.h"
 #include "dataflow/PreAnalysis.h"
@@ -37,8 +38,8 @@ static const char *LintClient = R"(
   }
 )";
 
-// Two independent Set/Iterator pipelines plus a dead copy and a dead
-// tail: every Stage-0 pass has something to do.
+// Two independent Set/Iterator pipelines: no action relates them, so
+// Stage 0 splits main() into two slices.
 static const char *SliceClient = R"(
   class Pipelines {
     void main() {
@@ -46,22 +47,17 @@ static const char *SliceClient = R"(
       Iterator i = s.iterator();
       Set t = new Set();
       Iterator j = t.iterator();
-      Iterator dead = i;
       if (*) { s.add(); }
       i.next();
       j.next();
-      return;
-      t.add();
     }
   }
 )";
 
-static core::CertificationReport certify(const char *Source, bool Pre) {
+static core::CertificationReport certify(const char *Source) {
   DiagnosticEngine Diags;
-  core::CertifierOptions Opts;
-  Opts.PreAnalysis = Pre;
-  core::Certifier C(easl::cmpSpecSource(), core::EngineKind::SCMPIntra, Diags,
-                    {}, Opts);
+  core::Certifier C(easl::cmpSpecSource(), core::EngineKind::SCMPIntra,
+                    Diags);
   core::CertificationReport R = C.certifySource(Source, Diags);
   if (Diags.hasErrors())
     std::fprintf(stderr, "%s", Diags.str().c_str());
@@ -71,10 +67,9 @@ static core::CertificationReport certify(const char *Source, bool Pre) {
 int main() {
   // --- 1. The conformance lint. -------------------------------------
   std::printf("=== Stage-0 lint on an uninitialized-iterator client ===\n");
-  core::CertificationReport Lint = certify(LintClient, true);
-  std::printf("%s\n", Lint.str().c_str());
+  std::printf("%s\n", certify(LintClient).str().c_str());
 
-  // --- 2. The raw per-method plan. ----------------------------------
+  // --- 2. The slice partition. --------------------------------------
   DiagnosticEngine Diags;
   easl::Spec Spec = easl::parseSpec(easl::cmpSpecSource(), Diags);
   wp::DerivedAbstraction Abs = wp::deriveAbstraction(Spec, Diags);
@@ -86,12 +81,11 @@ int main() {
   }
 
   dataflow::PreAnalysisResult PA = dataflow::preAnalyze(CFG, Abs);
-  std::printf("=== Stage-0 plan for the pipelines client ===\n");
+  std::printf("=== Stage-0 partition of the pipelines client ===\n");
+  size_t Unpartitioned = 0;
   for (const dataflow::MethodPlan &Plan : PA.Plans) {
-    std::printf("%s: %u edge(s) pruned, %u dead store(s), %u var(s) "
-                "dropped\n",
-                Plan.Source->name().c_str(), Plan.EdgesPruned,
-                Plan.DeadStoresRemoved, Plan.VarsDropped);
+    std::printf("%s: %zu slice(s)\n", Plan.Source->name().c_str(),
+                Plan.Slices.size());
     for (size_t S = 0; S != Plan.Slices.size(); ++S) {
       std::printf("  slice %zu: {", S);
       for (size_t V = 0; V != Plan.Slices[S].size(); ++V)
@@ -100,24 +94,15 @@ int main() {
     }
     if (Plan.ForcedSingleReason)
       std::printf("  (single slice forced: %s)\n", Plan.ForcedSingleReason);
+    Unpartitioned += bp::buildBooleanProgram(Abs, *Plan.Source, Diags)
+                         .Vars.size();
   }
   std::printf("\n");
 
-  // --- 3. On/off comparison. ----------------------------------------
-  core::CertificationReport On = certify(SliceClient, true);
-  core::CertificationReport Off = certify(SliceClient, false);
-  std::printf("=== Certification with pre-analysis ON ===\n%s\n",
-              On.str().c_str());
-  std::printf("=== Certification with pre-analysis OFF ===\n%s\n",
-              Off.str().c_str());
-  std::printf("boolean program size B: %zu with pre-analysis (peak %zu), "
-              "%zu without (peak %zu)\n",
-              On.BoolVars, On.MaxBoolVars, Off.BoolVars, Off.MaxBoolVars);
-
-  bool Same = On.Checks.size() == Off.Checks.size();
-  for (size_t I = 0; Same && I != On.Checks.size(); ++I)
-    Same = On.Checks[I].Outcome == Off.Checks[I].Outcome &&
-           On.Checks[I].Loc.Line == Off.Checks[I].Loc.Line;
-  std::printf("verdicts identical: %s\n", Same ? "yes" : "NO");
-  return Same ? 0 : 1;
+  // --- 3. Certification over the partition. -------------------------
+  core::CertificationReport R = certify(SliceClient);
+  std::printf("=== SCMPIntra certification ===\n%s\n", R.str().c_str());
+  std::printf("boolean program size B: %zu partitioned, %zu unpartitioned\n",
+              R.BoolVars, Unpartitioned);
+  return R.BoolVars < Unpartitioned ? 0 : 1;
 }

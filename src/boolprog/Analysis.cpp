@@ -1,8 +1,5 @@
 #include "boolprog/Analysis.h"
 
-#include "boolprog/Witness.h"
-
-#include <algorithm>
 #include <cassert>
 #include <deque>
 
@@ -207,85 +204,5 @@ IntraResult bp::analyzeIntraproc(const BooleanProgram &BP,
     else
       R.CheckResults.push_back(CheckOutcome::Potential);
   }
-  return R;
-}
-
-SlicedIntraResult bp::analyzeIntraprocSliced(
-    const wp::DerivedAbstraction &Abs, const cj::CFGMethod &M,
-    const std::vector<std::vector<std::string>> &Slices,
-    DiagnosticEngine &Diags, support::CancelToken *Cancel) {
-  SlicedIntraResult R;
-
-  struct Run {
-    BooleanProgram BP;
-    IntraResult IR;
-  };
-  std::vector<Run> Runs;
-  auto RunOne = [&](const BuildRestriction &Restrict) {
-    Run Rn{buildBooleanProgram(Abs, M, Diags, Restrict), IntraResult()};
-    Rn.IR = analyzeIntraproc(Rn.BP, Cancel);
-    ++R.SliceRuns;
-    R.BoolVars += Rn.BP.Vars.size();
-    R.MaxSliceBoolVars = std::max(R.MaxSliceBoolVars, Rn.BP.Vars.size());
-    Runs.push_back(std::move(Rn));
-  };
-
-  if (Slices.empty()) {
-    // No relevant component variables: an empty restriction still
-    // reports the (check-free) program's trivial result.
-    RunOne(BuildRestriction{});
-  } else {
-    for (const std::vector<std::string> &S : Slices) {
-      BuildRestriction BR;
-      BR.Vars = S;
-      RunOne(BR);
-    }
-  }
-
-  if (Slices.size() > 1) {
-    bool AnyDefinite = false;
-    for (const Run &Rn : Runs)
-      for (CheckOutcome O : Rn.IR.CheckResults)
-        AnyDefinite |= O == CheckOutcome::Definite;
-    if (AnyDefinite) {
-      // A definite violation kills the continuing edge (the call
-      // throws), truncating paths for every slice — rerun over the
-      // union so downstream reachability is shared.
-      Runs.clear();
-      R.FellBack = true;
-      BuildRestriction Union;
-      for (const std::vector<std::string> &S : Slices)
-        Union.Vars.insert(Union.Vars.end(), S.begin(), S.end());
-      RunOne(Union);
-    }
-  }
-
-  // Witnesses only for the runs that report, and only where something
-  // is flagged.
-  for (Run &Rn : Runs) {
-    std::vector<core::WitnessTrace> Witnesses;
-    if (Rn.IR.numFlagged())
-      Witnesses = intraWitnesses(Rn.BP, Rn.IR);
-    for (size_t I = 0; I != Rn.BP.Checks.size(); ++I) {
-      SlicedCheckItem Item;
-      Item.Edge = Rn.BP.Checks[I].Edge;
-      Item.Rec.Loc = Rn.BP.Checks[I].Loc;
-      Item.Rec.What = Rn.BP.Checks[I].What;
-      Item.Rec.ReqLoc = Rn.BP.Checks[I].ReqLoc;
-      Item.Rec.Outcome = Rn.IR.CheckResults[I];
-      if (!Witnesses.empty())
-        Item.Rec.Witness = std::move(Witnesses[I]);
-      R.Items.push_back(std::move(Item));
-    }
-  }
-
-  // Each edge's checks come from exactly one run (its receiver's
-  // slice), in requires-clause order; interleave runs back into the
-  // unsliced program's edge order.
-  std::stable_sort(
-      R.Items.begin(), R.Items.end(),
-      [](const SlicedCheckItem &A, const SlicedCheckItem &B) {
-        return A.Edge < B.Edge;
-      });
   return R;
 }

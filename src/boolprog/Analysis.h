@@ -111,45 +111,6 @@ IntraResult analyzeIntraproc(const BooleanProgram &BP,
                              bool AssumeChecksPass = true,
                              support::CancelToken *Cancel = nullptr);
 
-/// One merged requires verdict from a sliced run; Items are ordered by
-/// edge index, matching the check order of the unsliced program. Rec
-/// carries the shared verdict record (Method is left for the caller to
-/// fill); Potential verdicts carry a witness trace whose step/edge
-/// indices refer to the analyzed (possibly pre-analysis-transformed)
-/// CFG — remap through the MethodPlan before reporting.
-struct SlicedCheckItem {
-  int Edge = -1;
-  core::CheckRecord Rec;
-};
-
-struct SlicedIntraResult {
-  std::vector<SlicedCheckItem> Items;
-  /// Boolean programs built and analyzed (slices, plus the fallback run
-  /// when one was needed).
-  unsigned SliceRuns = 0;
-  /// True when a Definite verdict forced an unsliced rerun: definite
-  /// violations truncate paths under AssumeChecksPass, which per-slice
-  /// runs cannot see across slices.
-  bool FellBack = false;
-  size_t BoolVars = 0;         ///< Sum of B over all runs.
-  size_t MaxSliceBoolVars = 0; ///< Largest single-run B.
-};
-
-/// Certifies \p M per slice: builds and analyzes one restricted boolean
-/// program per entry of \p Slices (a partition of the relevant
-/// component variables, from dataflow::computeSlices) and merges the
-/// verdicts. Each slice costs O(E * B_slice^2), so a method whose
-/// variables split into k independent slices avoids the quadratic
-/// blowup of the combined B. Verdict-equivalent to the unsliced run —
-/// see DESIGN.md "Stage 0 pre-analysis" for the argument and the
-/// Definite fallback.
-SlicedIntraResult
-analyzeIntraprocSliced(const wp::DerivedAbstraction &Abs,
-                       const cj::CFGMethod &M,
-                       const std::vector<std::vector<std::string>> &Slices,
-                       DiagnosticEngine &Diags,
-                       support::CancelToken *Cancel = nullptr);
-
 } // namespace bp
 } // namespace canvas
 

@@ -89,35 +89,32 @@ enum class AppValue { False, True, Variable, Missing };
 /// variable is interned per distinct key.
 class Builder {
 public:
-  /// \p ChecksOnly skips the variable table and edge assignments and
-  /// lowers only the requires obligations — the cheap mode behind
-  /// bp::enumerateChecks. It must stay check-for-check identical to the
-  /// full build: both run the same instantiateApp classification, so
-  /// constant folding and "(unknown operand)" texts agree.
+  /// \p Parts, when given, partitions the component variables: an
+  /// instance spanning two parts folds to constant false.
   Builder(const DerivedAbstraction &Abs, const cj::CFGMethod &M,
-          DiagnosticEngine &Diags, const BuildRestriction *Restrict,
-          bool ChecksOnly = false)
-      : Abs(Abs), T(Abs.Templates), M(M), Diags(Diags),
-        Restricted(Restrict != nullptr), ChecksOnly(ChecksOnly) {
+          DiagnosticEngine &Diags,
+          const std::vector<std::vector<std::string>> *Parts)
+      : Abs(Abs), T(Abs.Templates), M(M), Diags(Diags) {
     std::vector<int> CompIdx;
     CompIdx.reserve(M.CompVars.size());
     for (const auto &[V, Ty] : M.CompVars)
       CompIdx.push_back(nameIndex(V));
-    if (Restrict)
-      for (const std::string &V : Restrict->Vars)
-        Allowed[nameIndex(V)] = 1;
+    if (Parts)
+      for (size_t P = 0; P != Parts->size(); ++P)
+        for (const std::string &V : (*Parts)[P])
+          if (int I = findName(V); I >= 0)
+            PartOf[I] = static_cast<int>(P);
     VarsOfType.resize(T.Types.size());
     for (size_t TI = 0; TI != T.Types.size(); ++TI)
       for (size_t I = 0; I != M.CompVars.size(); ++I)
-        if (M.CompVars[I].second == T.Types[TI] && allowed(CompIdx[I]))
+        if (M.CompVars[I].second == T.Types[TI])
           VarsOfType[TI].push_back(CompIdx[I]);
   }
 
   BooleanProgram run() {
     Out.CFG = &M;
     Out.Abs = &Abs;
-    if (!ChecksOnly)
-      enumerateVars();
+    enumerateVars();
     Out.EdgeAssignments.resize(M.Edges.size());
     for (size_t E = 0; E != M.Edges.size(); ++E) {
       lowerEdge(static_cast<int>(E));
@@ -141,7 +138,7 @@ private:
     if (int I = findName(N); I >= 0)
       return I;
     Out.KeyNames.push_back(N);
-    Allowed.push_back(0);
+    PartOf.push_back(-1);
     return static_cast<int>(Out.KeyNames.size() - 1);
   }
 
@@ -150,7 +147,21 @@ private:
     return N.empty() ? -1 : nameIndex(N);
   }
 
-  bool allowed(int Idx) const { return !Restricted || Allowed[Idx]; }
+  /// True when two of the first \p N entries of \p Args name
+  /// component variables in different parts.
+  bool crossPart(const int *Args, size_t N) const {
+    int Part = -1;
+    for (size_t I = 0; I != N; ++I) {
+      const int P = PartOf[Args[I]];
+      if (P < 0)
+        continue;
+      if (Part < 0)
+        Part = P;
+      else if (P != Part)
+        return true;
+    }
+    return false;
+  }
 
   std::string typeOfClientVar(const std::string &Name) const {
     for (const auto &[V, T] : M.CompVars)
@@ -208,7 +219,8 @@ private:
     }
     for (int V : VarsOfType[Types[Slot]]) {
       Tuple[Slot] = V;
-      enumerateTuples(F, Slot + 1, Tuple);
+      if (!crossPart(Tuple, Slot + 1))
+        enumerateTuples(F, Slot + 1, Tuple);
     }
   }
 
@@ -222,13 +234,11 @@ private:
       if (Args[I] < 0)
         return AppValue::Missing;
     }
-    // A restricted build tracks no facts spanning the restriction
-    // boundary; such applications read as constant false (cross-slice
-    // predicates are false whenever their operands are initialized —
-    // DESIGN.md "Stage 0 pre-analysis").
-    for (size_t I = 0; I != Arity; ++I)
-      if (!allowed(Args[I]))
-        return AppValue::False;
+    // No action relates objects of different parts, so an instance
+    // spanning two of them is false on every path that initializes its
+    // operands (DESIGN.md "Stage 0 pre-analysis").
+    if (crossPart(Args, Arity))
+      return AppValue::False;
     InstanceKey Key;
     switch (T.fold(App.Family, Args, Key)) {
     case wp::Folded::False:
@@ -238,7 +248,7 @@ private:
     case wp::Folded::Var:
       break;
     }
-    VarIdx = ChecksOnly ? -2 : internVar(App.Family, Args, Key);
+    VarIdx = internVar(App.Family, Args, Key);
     return AppValue::Variable;
   }
 
@@ -269,9 +279,6 @@ private:
 
   void lowerEdge(int E) {
     const cj::Action &A = M.Edges[E].Act;
-    if (ChecksOnly && A.K != cj::Action::Kind::AllocComp &&
-        A.K != cj::Action::Kind::CompCall)
-      return; // Only call edges carry requires obligations.
     switch (A.K) {
     case cj::Action::Kind::Nop:
       return;
@@ -304,19 +311,10 @@ private:
   void lowerCopy(int E, const cj::Action &A) {
     const int X = findName(A.Lhs);
     const int Y = nameIndex(A.Args[0]);
-    // A copy source outside the restriction cannot occur for Stage-0
-    // slices (copies connect both sides into one slice); havoc the
-    // target's facts defensively rather than leak out-of-slice
-    // variables through renaming.
-    const bool UnknownSource = !allowed(Y);
     // Interning may append variables; they are visited too.
     for (size_t V = 0; V != Out.Vars.size(); ++V) {
       if (!mentions(V, X))
         continue;
-      if (UnknownSource) {
-        assign(E, static_cast<int>(V), unknown());
-        continue;
-      }
       // The instance with X renamed to Y is the variable's family over
       // the renamed arguments (x != y folds to y != y, ...).
       std::array<int, MaxSlots> Renamed = ArgIdx[V];
@@ -326,7 +324,11 @@ private:
       const int Family = Out.Vars[V].Family;
       BoolRhs R;
       InstanceKey Key;
-      switch (T.fold(Family, Renamed.data(), Key)) {
+      const wp::Folded F =
+          crossPart(Renamed.data(), T.SlotTypes[Family].size())
+              ? wp::Folded::False
+              : T.fold(Family, Renamed.data(), Key);
+      switch (F) {
       case wp::Folded::False:
         R.K = BoolRhs::Kind::Const;
         break;
@@ -362,17 +364,10 @@ private:
     const int Lhs = bindIndex(A.Lhs);
     Env[1 + NParams] = Lhs;
 
-    // Requires obligations, checked in the pre-call state. Under a
-    // restriction, a call's checks belong to its receiver's slice
-    // (every operand of a call is in the receiver's slice, so exactly
-    // one slice of a partition emits them). Constructor calls have no
-    // receiver; their checks belong to the slice of the allocated
-    // variable instead.
-    const bool OwnsChecks =
-        allowed(nameIndex(A.Recv.empty() ? A.Lhs : A.Recv));
+    // Requires obligations, checked in the pre-call state.
     const std::string CallText =
-        OwnsChecks && !CM.Requires.empty() ? A.str() : std::string();
-    for (size_t R = 0; R != CM.Requires.size() && OwnsChecks; ++R) {
+        CM.Requires.empty() ? std::string() : A.str();
+    for (size_t R = 0; R != CM.Requires.size(); ++R) {
       Check C;
       C.Edge = E;
       C.Loc = A.Loc;
@@ -401,13 +396,11 @@ private:
       }
       Out.Checks.push_back(std::move(C));
     }
-    if (ChecksOnly)
-      return;
 
     // Update rules.
     for (const wp::CompiledRule &R : CM.Rules) {
-      if (R.UsesRet && (Lhs < 0 || !allowed(Lhs)))
-        continue; // Unnamed or out-of-restriction result: not tracked.
+      if (R.UsesRet && Lhs < 0)
+        continue; // Unnamed result: not tracked.
       int Tuple[MaxSlots] = {};
       instantiateRule(E, R, NParams, Lhs, 0, Tuple);
     }
@@ -421,7 +414,8 @@ private:
     const std::vector<int> &Types = T.SlotTypes[R.Family];
     if (Slot == Types.size()) {
       InstanceKey Key;
-      if (T.fold(R.Family, Tuple, Key) != wp::Folded::Var)
+      if (crossPart(Tuple, Types.size()) ||
+          T.fold(R.Family, Tuple, Key) != wp::Folded::Var)
         return;
       int Tgt = internVar(R.Family, Tuple, Key);
       for (unsigned I = 0; I != Types.size(); ++I)
@@ -470,12 +464,10 @@ private:
   const wp::InstanceTemplates &T;
   const cj::CFGMethod &M;
   DiagnosticEngine &Diags;
-  const bool Restricted;
-  const bool ChecksOnly;
   BooleanProgram Out;
-  /// Per KeyNames index: inside the restriction.
-  std::vector<char> Allowed;
-  /// Per slot type id: the allowed component variables of that type.
+  /// Per KeyNames index: the component variable's part, or -1.
+  std::vector<int> PartOf;
+  /// Per slot type id: the component variables of that type.
   std::vector<std::vector<int>> VarsOfType;
   /// Per variable: its family arguments as KeyNames indices.
   std::vector<std::array<int, MaxSlots>> ArgIdx;
@@ -493,16 +485,9 @@ BooleanProgram bp::buildBooleanProgram(const DerivedAbstraction &Abs,
   return Builder(Abs, M, Diags, nullptr).run();
 }
 
-BooleanProgram bp::buildBooleanProgram(const DerivedAbstraction &Abs,
-                                       const cj::CFGMethod &M,
-                                       DiagnosticEngine &Diags,
-                                       const BuildRestriction &Restrict) {
-  return Builder(Abs, M, Diags, &Restrict).run();
-}
-
-std::vector<Check> bp::enumerateChecks(const DerivedAbstraction &Abs,
-                                       const cj::CFGMethod &M,
-                                       DiagnosticEngine &Diags) {
-  return std::move(
-      Builder(Abs, M, Diags, nullptr, /*ChecksOnly=*/true).run().Checks);
+BooleanProgram
+bp::buildBooleanProgram(const DerivedAbstraction &Abs, const cj::CFGMethod &M,
+                        DiagnosticEngine &Diags,
+                        const std::vector<std::vector<std::string>> &Parts) {
+  return Builder(Abs, M, Diags, &Parts).run();
 }

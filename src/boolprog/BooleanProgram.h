@@ -101,35 +101,20 @@ BooleanProgram buildBooleanProgram(const wp::DerivedAbstraction &Abs,
                                    const cj::CFGMethod &M,
                                    DiagnosticEngine &Diags);
 
-/// Restricts construction to a subset of the client's component
-/// variables — one Stage-0 slice, or the union of the retained
-/// variables (see dataflow::preAnalyze and DESIGN.md "Stage 0
-/// pre-analysis"). Boolean variables are enumerated over Vars only;
-/// predicate applications mentioning an out-of-restriction variable
-/// drop to constant false, update rules targeting an out-of-restriction
-/// call result are skipped, and requires checks are emitted only for
-/// calls whose receiver is in Vars — so across a partition every check
-/// is emitted by exactly one slice's program.
-struct BuildRestriction {
-  std::vector<std::string> Vars;
-};
-
-BooleanProgram buildBooleanProgram(const wp::DerivedAbstraction &Abs,
-                                   const cj::CFGMethod &M,
-                                   DiagnosticEngine &Diags,
-                                   const BuildRestriction &Restrict);
-
-/// The canonical (unrestricted) check enumeration of \p M, without the
-/// boolean program around it: identical to
-/// buildBooleanProgram(Abs, M, Diags).Checks in count, order, Edge,
-/// What, Loc, ReqLoc, and constant folding, except that a check backed
-/// by a boolean variable reports Var == -2 (no variable table is
-/// built). The per-slice certification paths need only this
-/// enumeration to index claims — the full instantiation is
-/// O(edges · boolvars) and dominates their fixed overhead.
-std::vector<Check> enumerateChecks(const wp::DerivedAbstraction &Abs,
-                                   const cj::CFGMethod &M,
-                                   DiagnosticEngine &Diags);
+/// Instantiates \p Abs over \p M with its component variables split
+/// into \p Parts, a partition no action relates across (the Stage-0
+/// slice partition, dataflow::computeSlices). Instances whose
+/// component-variable arguments fall in two different parts fold to
+/// constant false — no action ever relates their objects, so the
+/// unpartitioned program never makes them true either (DESIGN.md
+/// "Stage 0 pre-analysis"). Every other operand, copy and check lowers
+/// exactly as in the unpartitioned build, so Checks keeps its count,
+/// order and text; only Var differs, for a check over a cross-part
+/// instance. A one-part partition yields the unpartitioned program.
+BooleanProgram
+buildBooleanProgram(const wp::DerivedAbstraction &Abs, const cj::CFGMethod &M,
+                    DiagnosticEngine &Diags,
+                    const std::vector<std::vector<std::string>> &Parts);
 
 } // namespace bp
 } // namespace canvas

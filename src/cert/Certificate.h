@@ -36,11 +36,11 @@ enum class CertKind : uint8_t {
   TvlaIndependent = 3, ///< One structure per point.
   TvlaRelational = 4,  ///< Structure set per point.
   AllocSite = 5,       ///< Allocation-site states + summarized sites.
-  /// SCMPIntra per-slice annotations plus the evidence that the slice
-  /// partition itself is sound (must-assigned annotation, and — when
-  /// slicing was justified by points-to — the whole-program points-to
-  /// solution, revalidated against a checker-regenerated constraint
-  /// system).
+  /// SCMPIntra annotation of a partitioned boolean program plus the
+  /// evidence that the slice partition itself is sound (must-assigned
+  /// annotation, and — when slicing was justified by points-to — the
+  /// whole-program points-to solution, revalidated against a
+  /// checker-regenerated constraint system).
   SlicePartition = 6,
 };
 

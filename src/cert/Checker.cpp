@@ -79,7 +79,7 @@ bool validClaimShape(const Certificate &C, size_t NumChecks,
 /// Coverage must be tracked beside the states: a zero-variable
 /// program's states are zero-width and permanently disengaged
 /// (StateVec.h), so engagement alone cannot say which nodes the
-/// annotation reaches. Shared by the plain and the per-slice checkers;
+/// annotation reaches. Shared by the plain and the partitioned checkers;
 /// the caller still validates that the reader consumed exactly its
 /// section.
 bool readBoolSection(Reader &R, const bp::BooleanProgram &BP,
@@ -193,6 +193,39 @@ bool readBoolSection(Reader &R, const bp::BooleanProgram &BP,
   return true;
 }
 
+/// (c) Claims uncovered by the annotation readBoolSection accepted for
+/// \p BP: an Unreachable claim needs its check's node uncovered, a
+/// Safe claim a node where the checked variable cannot be 1.
+bool claimsHold(const Certificate &C, const bp::BooleanProgram &BP,
+                const std::vector<bp::StateVec> &In,
+                const std::vector<uint8_t> &Covered, std::string &Reason) {
+  for (const Claim &Cl : C.Claims) {
+    const bp::Check &Chk = BP.Checks[Cl.Check];
+    const int Node = BP.CFG->Edges[Chk.Edge].From;
+    if (Cl.Outcome == core::CheckOutcome::Unreachable) {
+      if (Covered[Node]) {
+        Reason = "unreachable claim at a covered node";
+        return false;
+      }
+      continue;
+    }
+    if (!Covered[Node])
+      continue; // Vacuously safe.
+    if (Chk.Var < 0) {
+      if (Chk.ConstantViolated) {
+        Reason = "safe claim on a constant-violated check";
+        return false;
+      }
+      continue;
+    }
+    if (bp::canBeOne(In[Node].get(Chk.Var))) {
+      Reason = "safe claim but the annotation admits a violation";
+      return false;
+    }
+  }
+  return true;
+}
+
 } // namespace
 
 std::shared_ptr<const Checker::PTRevalidation>
@@ -283,33 +316,15 @@ CheckResult Checker::checkBoolIntra(const Certificate &C) const {
     return fail(std::move(Reason));
   if (!R.done())
     return fail("malformed payload");
-
-  // (c) Claims uncovered by the annotation.
-  for (const Claim &Cl : C.Claims) {
-    const bp::Check &Chk = BP.Checks[Cl.Check];
-    int Node = M->Edges[Chk.Edge].From;
-    if (Cl.Outcome == core::CheckOutcome::Unreachable) {
-      if (Covered[Node])
-        return fail("unreachable claim at a covered node");
-      continue;
-    }
-    if (!Covered[Node])
-      continue; // Vacuously safe.
-    if (Chk.Var < 0) {
-      if (Chk.ConstantViolated)
-        return fail("safe claim on a constant-violated check");
-      continue;
-    }
-    if (bp::canBeOne(In[Node].get(Chk.Var)))
-      return fail("safe claim but the annotation admits a violation");
-  }
+  if (!claimsHold(C, BP, In, Covered, Reason))
+    return fail(std::move(Reason));
   CheckResult Res = ok();
   Res.NumChecks = BP.Checks.size();
   return Res;
 }
 
 //===----------------------------------------------------------------------===//
-// Sliced boolean-program runs with partition evidence
+// Partitioned boolean programs with partition evidence
 //===----------------------------------------------------------------------===//
 
 CheckResult Checker::checkSlicePartition(const Certificate &C) const {
@@ -331,7 +346,7 @@ CheckResult Checker::checkSlicePartition(const Certificate &C) const {
     return fail("slice partition over no component variables");
 
   // The gate shared with the engine-side slicer: an abstraction reading
-  // pre-call "ret" predicates cannot be certified per-slice.
+  // pre-call "ret" predicates cannot be partitioned.
   if (dataflow::abstractionReadsRetSources(Abs))
     return fail("abstraction reads pre-call 'ret' predicates");
 
@@ -341,73 +356,69 @@ CheckResult Checker::checkSlicePartition(const Certificate &C) const {
   // nodes' successors stay covered, and every component-variable use is
   // in the pre-action set. Together: no execution uses an unassigned
   // component variable, the gate slicing cannot do without.
-  std::vector<std::set<int>> Must(M->NumNodes);
-  std::vector<bool> Covered(M->NumNodes, false);
+  // An uncovered node has an empty set.
+  std::vector<dataflow::BitVector> Must(M->NumNodes);
   for (int N = 0; N != M->NumNodes; ++N) {
     uint8_t Tag = R.u8();
     if (Tag > 1)
       return fail("bad must-assigned tag");
     if (!Tag)
       continue;
-    Covered[N] = true;
-    uint32_t K = R.u32();
-    if (R.failed() || K > Vars.size())
-      return fail("oversized must-assigned set");
-    for (uint32_t I = 0; I != K; ++I) {
-      uint32_t V = R.u32();
-      if (R.failed() || V >= Vars.size())
-        return fail("out-of-range must-assigned variable");
-      Must[N].insert(static_cast<int>(V));
+    Must[N].assign(Vars.size(), false);
+    for (size_t Byte = 0; Byte * 8 < Vars.size(); ++Byte) {
+      const uint8_t Bits = R.u8();
+      for (unsigned Bit = 0; Bit != 8; ++Bit) {
+        if (!((Bits >> Bit) & 1))
+          continue;
+        const size_t V = Byte * 8 + Bit;
+        if (V >= Vars.size())
+          return fail("out-of-range must-assigned variable");
+        Must[N][V] = true;
+      }
     }
   }
-  if (!Covered[M->Entry])
+  if (R.failed())
+    return fail("malformed payload");
+  if (Must[M->Entry].empty())
     return fail("entry node not covered by the must-assigned annotation");
-  {
-    std::set<int> Params;
-    for (const cj::CParam &P : M->Method->Params) {
-      int I = Vars.index(P.Name);
-      if (I >= 0)
-        Params.insert(I);
-    }
-    for (int V : Must[M->Entry])
-      if (!Params.count(V))
-        return fail("entry must-assigned set exceeds the parameters");
+  for (size_t V = 0; V != Vars.size(); ++V) {
+    if (!Must[M->Entry][V])
+      continue;
+    bool Param = false;
+    for (const cj::CParam &P : M->Method->Params)
+      Param |= P.Name == Vars.name(static_cast<int>(V));
+    if (!Param)
+      return fail("entry must-assigned set exceeds the parameters");
   }
   for (const cj::CFGEdge &E : M->Edges) {
-    if (!Covered[E.From])
+    const dataflow::BitVector &From = Must[E.From];
+    if (From.empty())
       continue;
-    if (!Covered[E.To])
+    const dataflow::BitVector &To = Must[E.To];
+    if (To.empty())
       return fail("must-assigned annotation not closed");
     const std::string *Def = dataflow::actionDef(E.Act);
-    int DefIdx = Def ? Vars.index(*Def) : -1;
-    for (int V : Must[E.To])
-      if (!Must[E.From].count(V) && V != DefIdx)
+    const int DefIdx = Def ? Vars.index(*Def) : -1;
+    for (size_t V = 0; V != Vars.size(); ++V)
+      if (To[V] && !From[V] && static_cast<int>(V) != DefIdx)
         return fail("must-assigned annotation claims an unassigned variable");
     bool Uninit = false;
     dataflow::forEachActionUse(E.Act, [&](const std::string &U) {
       int I = Vars.index(U);
-      if (I >= 0 && !Must[E.From].count(I))
+      if (I >= 0 && !From[I])
         Uninit = true;
     });
     if (Uninit)
       return fail("possibly-uninitialized use under the partition");
   }
 
-  // --- The partition itself, with each slice's restricted program
-  // rebuilt from trusted inputs and its annotation validated like a
-  // plain BoolIntra certificate.
+  // --- The partition itself: every component variable in exactly one
+  // slice.
   const uint32_t NumSlices = R.u32();
   if (R.failed() || NumSlices == 0 || NumSlices > Vars.size())
     return fail("implausible slice count");
   std::vector<std::vector<std::string>> Slices(NumSlices);
   std::map<std::string, int> SliceOf;
-  DiagnosticEngine Quiet;
-  const dataflow::CFGInfo Info(*M);
-  std::vector<bp::BooleanProgram> BPs;
-  BPs.reserve(NumSlices);
-  std::vector<std::vector<bp::StateVec>> Ins(NumSlices);
-  std::vector<std::vector<uint8_t>> Covs(NumSlices);
-  std::string Reason;
   for (uint32_t I = 0; I != NumSlices; ++I) {
     const uint32_t Len = R.u32();
     if (R.failed() || Len == 0 || Len > Vars.size())
@@ -420,15 +431,6 @@ CheckResult Checker::checkSlicePartition(const Certificate &C) const {
         return fail("variable in two slices");
       Slices[I].push_back(std::move(Name));
     }
-    bp::BuildRestriction Restrict;
-    Restrict.Vars = Slices[I];
-    BPs.push_back(bp::buildBooleanProgram(Abs, *M, Quiet, Restrict));
-    if (R.u32() != static_cast<uint32_t>(BPs[I].Vars.size()) ||
-        R.u32() != static_cast<uint32_t>(BPs[I].Checks.size()))
-      return fail("slice dimension mismatch against rebuilt program");
-    if (!readBoolSection(R, BPs[I], *M, Info, AssumeChecksPass, Ins[I],
-                         Covs[I], Reason))
-      return fail(std::move(Reason));
   }
   if (SliceOf.size() != Vars.size())
     return fail("slices do not cover every component variable");
@@ -594,71 +596,31 @@ CheckResult Checker::checkSlicePartition(const Certificate &C) const {
         return fail("an instance-relating action spans slices");
     }
   }
+
+  // --- The one annotation, over the partitioned program rebuilt from
+  // trusted inputs and validated like a plain BoolIntra certificate.
+  // Its checks are the unpartitioned program's, so claims index the
+  // same enumeration either way.
+  DiagnosticEngine Quiet;
+  const bp::BooleanProgram BP = bp::buildBooleanProgram(Abs, *M, Quiet, Slices);
+  if (R.u32() != static_cast<uint32_t>(BP.Vars.size()) ||
+      R.u32() != static_cast<uint32_t>(BP.Checks.size()))
+    return fail("dimension mismatch against rebuilt partitioned program");
+  std::string Reason;
+  if (!validClaimShape(C, BP.Checks.size(), Reason))
+    return fail(std::move(Reason));
+  const dataflow::CFGInfo Info(*M);
+  std::vector<bp::StateVec> In;
+  std::vector<uint8_t> Covered;
+  if (!readBoolSection(R, BP, *M, Info, AssumeChecksPass, In, Covered,
+                       Reason))
+    return fail(std::move(Reason));
   if (!R.done())
     return fail("malformed payload");
-
-  // --- Claims, indexed against the canonical (unrestricted) check
-  // enumeration and validated against the owning slice's annotation.
-  // A restricted build emits an edge's checks in the canonical order,
-  // and check ownership (the receiver's — or for constructors the
-  // result's — slice) places each edge's checks in exactly one slice;
-  // text and location must agree or the mapping is refused.
-  // Only the check enumeration is needed here — every claim is judged
-  // against its owning slice's restricted program, so the unrestricted
-  // instantiation (the dominant cost of this checker path) is skipped.
-  const std::vector<bp::Check> CanonChecks = bp::enumerateChecks(Abs, *M, Quiet);
-  if (!validClaimShape(C, CanonChecks.size(), Reason))
+  if (!claimsHold(C, BP, In, Covered, Reason))
     return fail(std::move(Reason));
-  std::map<int, std::vector<size_t>> CanonByEdge;
-  for (size_t I = 0; I != CanonChecks.size(); ++I)
-    CanonByEdge[CanonChecks[I].Edge].push_back(I);
-  std::vector<std::pair<int, int>> Owner(CanonChecks.size(),
-                                         std::make_pair(-1, -1));
-  for (uint32_t S = 0; S != NumSlices; ++S) {
-    std::map<int, std::vector<size_t>> ByEdge;
-    for (size_t J = 0; J != BPs[S].Checks.size(); ++J)
-      ByEdge[BPs[S].Checks[J].Edge].push_back(J);
-    for (const auto &[Edge, Js] : ByEdge) {
-      auto CIt = CanonByEdge.find(Edge);
-      if (CIt == CanonByEdge.end() || CIt->second.size() != Js.size())
-        return fail("slice checks do not match the canonical enumeration");
-      for (size_t K = 0; K != Js.size(); ++K) {
-        const bp::Check &A = CanonChecks[CIt->second[K]];
-        const bp::Check &B = BPs[S].Checks[Js[K]];
-        if (A.What != B.What || !(A.Loc == B.Loc))
-          return fail("slice check diverges from the canonical check");
-        if (Owner[CIt->second[K]].first >= 0)
-          return fail("check owned by two slices");
-        Owner[CIt->second[K]] = {static_cast<int>(S),
-                                 static_cast<int>(Js[K])};
-      }
-    }
-  }
-  for (const Claim &Cl : C.Claims) {
-    const auto [S, J] = Owner[Cl.Check];
-    if (S < 0)
-      return fail("claim on a check no slice owns");
-    const bp::Check &Chk = BPs[S].Checks[J];
-    int Node = M->Edges[Chk.Edge].From;
-    const std::vector<bp::StateVec> &In = Ins[S];
-    const std::vector<uint8_t> &Cov = Covs[S];
-    if (Cl.Outcome == core::CheckOutcome::Unreachable) {
-      if (Cov[Node])
-        return fail("unreachable claim at a covered node");
-      continue;
-    }
-    if (!Cov[Node])
-      continue; // Vacuously safe.
-    if (Chk.Var < 0) {
-      if (Chk.ConstantViolated)
-        return fail("safe claim on a constant-violated check");
-      continue;
-    }
-    if (bp::canBeOne(In[Node].get(Chk.Var)))
-      return fail("safe claim but the annotation admits a violation");
-  }
   CheckResult Res = ok();
-  Res.NumChecks = CanonChecks.size();
+  Res.NumChecks = BP.Checks.size();
   return Res;
 }
 

@@ -131,7 +131,7 @@ namespace {
 /// value exactly. The engine's and the checker's values then coincide
 /// by induction over RPO, so pruning is unconditionally sound — a
 /// disagreement simply stores the entry instead. Shared by the plain
-/// and the per-slice emitters.
+/// and the partitioned emitters.
 void writeBoolSection(Writer &W, const bp::BooleanProgram &BP,
                       const bp::IntraResult &R, bool AssumeChecksPass,
                       uint32_t &RawEntries, uint32_t &StoredEntries) {
@@ -166,6 +166,16 @@ void writeBoolSection(Writer &W, const bp::BooleanProgram &BP,
   }
 }
 
+/// Claims for every proven verdict, indexed like the checks.
+std::vector<Claim> provenClaims(const std::vector<core::CheckOutcome> &Rs) {
+  std::vector<Claim> Out;
+  for (size_t I = 0; I != Rs.size(); ++I)
+    if (Rs[I] == core::CheckOutcome::Safe ||
+        Rs[I] == core::CheckOutcome::Unreachable)
+      Out.push_back({static_cast<uint32_t>(I), Rs[I]});
+  return Out;
+}
+
 void writeObjSet(Writer &W, const std::set<int> &S) {
   W.u32(static_cast<uint32_t>(S.size()));
   for (int Obj : S)
@@ -181,11 +191,7 @@ Certificate cert::emitBoolIntra(const bp::BooleanProgram &BP,
   Certificate C;
   C.Kind = CertKind::BoolIntra;
   C.Unit = M.name();
-
-  for (size_t I = 0; I != R.CheckResults.size(); ++I)
-    if (R.CheckResults[I] == core::CheckOutcome::Safe ||
-        R.CheckResults[I] == core::CheckOutcome::Unreachable)
-      C.Claims.push_back({static_cast<uint32_t>(I), R.CheckResults[I]});
+  C.Claims = provenClaims(R.CheckResults);
 
   Writer W;
   W.u32(static_cast<uint32_t>(M.NumNodes));
@@ -199,18 +205,15 @@ Certificate cert::emitBoolIntra(const bp::BooleanProgram &BP,
 }
 
 Certificate cert::emitSlicePartition(
-    const cj::CFGMethod &M, const std::vector<SliceEvidence> &Slices,
-    const std::vector<core::CheckOutcome> &Outcomes,
+    const std::vector<std::vector<std::string>> &Parts,
+    const bp::BooleanProgram &BP, const bp::IntraResult &R,
     const std::vector<dataflow::BitVector> &MayUninit,
     const dataflow::PointsToResult *PT, bool AssumeChecksPass) {
+  const cj::CFGMethod &M = *BP.CFG;
   Certificate C;
   C.Kind = CertKind::SlicePartition;
   C.Unit = M.name();
-
-  for (size_t I = 0; I != Outcomes.size(); ++I)
-    if (Outcomes[I] == core::CheckOutcome::Safe ||
-        Outcomes[I] == core::CheckOutcome::Unreachable)
-      C.Claims.push_back({static_cast<uint32_t>(I), Outcomes[I]});
+  C.Claims = provenClaims(R.CheckResults);
 
   Writer W;
   W.u8(PT ? 1 : 0);
@@ -219,35 +222,29 @@ Certificate cert::emitSlicePartition(
   W.u32(static_cast<uint32_t>(M.CompVars.size()));
 
   // Must-assigned annotation: the complement of the engine's
-  // may-uninitialized fixpoint, per covered node. The checker validates
-  // it as a single-pass under-approximation, proving no component
-  // variable is used before assignment — the gate a slice partition
-  // shares with the engine-side slicer.
+  // may-uninitialized fixpoint, per covered node, as a bitset over the
+  // component variables (bit V of byte V / 8). The checker validates it
+  // as a single-pass under-approximation, proving no component variable
+  // is used before assignment — the gate a slice partition shares with
+  // the engine-side slicer.
   for (int N = 0; N != M.NumNodes; ++N) {
     const dataflow::BitVector &B = MayUninit[N];
-    if (B.empty()) {
-      W.u8(0);
+    W.u8(B.empty() ? 0 : 1);
+    if (B.empty())
       continue;
+    for (size_t Byte = 0; Byte * 8 < B.size(); ++Byte) {
+      uint8_t Bits = 0;
+      for (size_t V = Byte * 8; V != B.size() && V != Byte * 8 + 8; ++V)
+        Bits |= static_cast<uint8_t>(!B[V]) << (V - Byte * 8);
+      W.u8(Bits);
     }
-    W.u8(1);
-    std::vector<uint32_t> Must;
-    for (size_t V = 0; V != B.size(); ++V)
-      if (!B[V])
-        Must.push_back(static_cast<uint32_t>(V));
-    W.u32(static_cast<uint32_t>(Must.size()));
-    for (uint32_t V : Must)
-      W.u32(V);
   }
 
-  W.u32(static_cast<uint32_t>(Slices.size()));
-  for (const SliceEvidence &S : Slices) {
-    W.u32(static_cast<uint32_t>(S.Vars.size()));
-    for (const std::string &V : S.Vars)
+  W.u32(static_cast<uint32_t>(Parts.size()));
+  for (const std::vector<std::string> &Part : Parts) {
+    W.u32(static_cast<uint32_t>(Part.size()));
+    for (const std::string &V : Part)
       W.str(V);
-    W.u32(static_cast<uint32_t>(S.BP->Vars.size()));
-    W.u32(static_cast<uint32_t>(S.BP->Checks.size()));
-    writeBoolSection(W, *S.BP, *S.R, AssumeChecksPass, C.RawEntries,
-                     C.StoredEntries);
   }
 
   // Mode-1 evidence: the points-to solution, node-indexed against the
@@ -268,6 +265,9 @@ Certificate cert::emitSlicePartition(
     }
   }
 
+  W.u32(static_cast<uint32_t>(BP.Vars.size()));
+  W.u32(static_cast<uint32_t>(BP.Checks.size()));
+  writeBoolSection(W, BP, R, AssumeChecksPass, C.RawEntries, C.StoredEntries);
   C.Payload = W.take();
   C.seal();
   return C;

@@ -34,39 +34,30 @@ struct PointsToResult;
 namespace cert {
 
 /// Certificate for one method's intraprocedural possible-value run.
-/// \p R must come from the *unsliced* program built by
+/// \p R must come from the unpartitioned program built by
 /// buildBooleanProgram(Abs, M) with entry state "every variable Both"
 /// — the checker rebuilds exactly that program from trusted inputs.
 Certificate emitBoolIntra(const bp::BooleanProgram &BP,
                           const bp::IntraResult &R,
                           bool AssumeChecksPass = true);
 
-/// One slice's evidence for emitSlicePartition: the slice's component
-/// variables, the boolean program built under that restriction, and its
-/// intraprocedural fixpoint. Pointers are borrowed for the call.
-struct SliceEvidence {
-  std::vector<std::string> Vars;
-  const bp::BooleanProgram *BP = nullptr;
-  const bp::IntraResult *R = nullptr;
-};
-
-/// Certificate for one method certified per-slice: each slice's
-/// possible-value annotation (same encoding as emitBoolIntra) plus the
-/// evidence that the partition itself is sound — the definite-
-/// assignment fixpoint as a must-assigned annotation and, when slicing
-/// was justified by whole-program points-to (\p PT non-null, mode 1),
-/// the points-to solution for the checker to revalidate against its own
-/// regenerated constraint system. Claims index the canonical
-/// (unrestricted) check enumeration — bp::enumerateChecks — and
-/// \p Outcomes lists the merged per-check verdicts in that order.
-/// \p MayUninit is the per-node definite-assignment fixpoint of the
-/// method (empty inner vector = entry-unreachable node).
-Certificate emitSlicePartition(const cj::CFGMethod &M,
-                               const std::vector<SliceEvidence> &Slices,
-                               const std::vector<core::CheckOutcome> &Outcomes,
-                               const std::vector<dataflow::BitVector> &MayUninit,
-                               const dataflow::PointsToResult *PT,
-                               bool AssumeChecksPass = true);
+/// Certificate for one method whose boolean program \p BP was built
+/// over the slice partition \p Parts (bp::buildBooleanProgram with
+/// parts): the partition, the evidence that it is sound — the
+/// definite-assignment fixpoint as a must-assigned annotation and, when
+/// the partition came from whole-program points-to (\p PT non-null,
+/// mode 1), the points-to solution for the checker to revalidate
+/// against its own regenerated constraint system — and the program's
+/// one possible-value annotation (same encoding as emitBoolIntra).
+/// Claims index BP.Checks, which is the unpartitioned program's check
+/// list. \p MayUninit is the per-node definite-assignment fixpoint of
+/// the method (empty inner vector = entry-unreachable node).
+Certificate
+emitSlicePartition(const std::vector<std::vector<std::string>> &Parts,
+                   const bp::BooleanProgram &BP, const bp::IntraResult &R,
+                   const std::vector<dataflow::BitVector> &MayUninit,
+                   const dataflow::PointsToResult *PT,
+                   bool AssumeChecksPass = true);
 
 /// Certificate for a whole-program interprocedural solve: the full
 /// path-edge set plus the genuine (procedure, entry fact) relation.

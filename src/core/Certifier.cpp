@@ -9,6 +9,7 @@
 #include "core/Replay.h"
 #include "dataflow/Escape.h"
 #include "dataflow/PointsTo.h"
+#include "dataflow/PreAnalysis.h"
 #include "store/InputHash.h"
 #include "support/TaskPool.h"
 #include "tvla/Certify.h"
@@ -124,13 +125,6 @@ struct PointsToCache {
   PointsToReport Stats; ///< Solve-time statistics, replayed on a hit so
                         ///< the report's "points-to:" line is
                         ///< byte-identical to the cold run.
-  /// Methods of the cached program whose alias-refined slice partition
-  /// was REJECTED (forced single / no projected win): the gate decision
-  /// is a pure function of (program, abstraction, points-to solution),
-  /// all fixed under Key, so re-certifying the program replays the
-  /// recorded summary instead of re-running definite assignment and the
-  /// partition cost model per method. Cleared whenever Key changes.
-  std::map<std::string, MethodSliceSummary> RejectedGates;
 };
 } // namespace detail
 } // namespace core
@@ -197,8 +191,6 @@ template <typename Fn> auto timed(double &Micros, Fn &&F) {
 /// method-index order, so they affect wall-clock, never results.
 std::string storeOptionsFingerprint(const CertifierOptions &O) {
   std::string F = "v1";
-  F += O.PreAnalysis ? ":pre1" : ":pre0";
-  F += O.Pre.Slice ? ":slice1" : ":slice0";
   F += O.PointsTo ? ":pt1" : ":pt0";
   F += ":tvla" + std::to_string(O.TVLAMaxStructuresPerPoint);
   return F;
@@ -412,175 +404,55 @@ void enumerateObligations(const wp::DerivedAbstraction &Abs,
   }
 }
 
-/// The per-slice certificate-mode result for one method: verdicts in
-/// canonical check order plus the SlicePartition certificate.
-struct SlicedCertAttempt {
-  std::vector<CheckVerdict> Checks;
-  cert::Certificate Cert;
-  size_t BoolVars = 0;
-  size_t MaxSliceBoolVars = 0;
-  unsigned SliceRuns = 0;
-  MethodSliceSummary Summary;
-  double EmitMicros = 0;
-};
-
-/// Attempts per-slice certification of \p M under certificate emission:
-/// the slicing gates and partition are recomputed on the untransformed
-/// method, each slice's restricted boolean program is analyzed
-/// independently, and the verdicts are merged in the canonical
-/// (unrestricted) check order the SlicePartition certificate claims
-/// against. Returns false — the caller then runs the plain unsliced
-/// path — when the method does not split, a slicing gate fires, a
-/// Definite verdict requires the unsliced confirmation run, or the
-/// canonical check mapping cannot be established. \p Summary is filled
-/// whenever the method has component variables, success or not.
-bool certifyMethodSliced(const wp::DerivedAbstraction &Abs,
-                         const cj::CFGMethod &M,
-                         const dataflow::PointsToResult *PT,
-                         detail::PointsToCache *GateMemo,
-                         support::CancelToken *Tok, SlicedCertAttempt &Out) {
-  if (M.CompVars.empty())
-    return false;
-  Out.Summary.Method = M.name();
-  Out.Summary.Slices = 1;
-
-  // \p GateMemo is only handed in when PT is the memo's own cached
-  // solution (same program key), so a recorded rejection replays
-  // exactly: same slice count, same forced-single reason, no verdicts
-  // involved (the caller's unsliced fallback recomputes those).
-  if (GateMemo) {
-    std::lock_guard<std::mutex> L(GateMemo->Mu);
-    auto It = GateMemo->RejectedGates.find(M.name());
-    if (It != GateMemo->RejectedGates.end()) {
-      Out.Summary = It->second;
-      return false;
+/// Solves (or replays from \p PTC) the whole-program points-to &
+/// escape pre-analysis, filling \p Stats. A failure (budget
+/// exhaustion, the injected "points-to" fault) returns null: the
+/// engine then keeps the syntactic slicing gates, which stay sound
+/// without the solution, instead of failing the rung. If the budget is
+/// exhausted the engine's own next tick fails the rung as usual.
+/// Failed solves are never memoized.
+std::shared_ptr<const dataflow::PointsToResult>
+solvePointsTo(const easl::Spec &S, const cj::ClientCFG &CFG,
+              detail::PointsToCache *PTC, support::CancelToken &Tok,
+              PointsToReport &Stats) {
+  // The solve is whole-program and the spec/abstraction are fixed per
+  // certifier, so the structural program hash alone keys the memo;
+  // hashing is linear in the CFG, the solve is not.
+  const uint64_t Key =
+      store::programInputHash(CFG, /*Context=*/0x70742D6361636865ULL);
+  if (PTC) {
+    std::lock_guard<std::mutex> L(PTC->Mu);
+    if (PTC->Valid && PTC->Key == Key) {
+      Stats = PTC->Stats;
+      return PTC->Result;
     }
   }
-
-  const dataflow::CFGInfo Info(M);
-  std::vector<dataflow::BitVector> MayUninit;
-  dataflow::DefiniteAssignmentResult DA =
-      dataflow::analyzeDefiniteAssignment(M, Info, &Abs, Tok, &MayUninit);
-  std::vector<std::string> Universe;
-  Universe.reserve(M.CompVars.size());
-  for (const auto &NameAndType : M.CompVars)
-    Universe.push_back(NameAndType.first);
-  const dataflow::MethodAliasInfo *Alias =
-      PT ? PT->aliasFor(M.name()) : nullptr;
-  // In certificate mode every slice pays for a restricted build, an
-  // annotation section, and the checker's mirror of both, so
-  // alias-refined partitions go through the projected-win gate.
-  dataflow::SliceCostModel Cost;
-  for (const wp::PredicateFamily &Fam : Abs.Families)
-    Cost.FamilySlotTypes.push_back(Fam.VarTypes);
-  dataflow::SliceResult SR = dataflow::computeSlices(
-      M, Universe, !DA.clean(), dataflow::abstractionReadsRetSources(Abs),
-      Alias, &Cost);
-  Out.Summary.Slices = static_cast<unsigned>(SR.Slices.size());
-  if (SR.ForcedSingleReason)
-    Out.Summary.ForcedSingleReason = SR.ForcedSingleReason;
-  if (SR.Slices.size() < 2) {
-    if (GateMemo) {
-      std::lock_guard<std::mutex> L(GateMemo->Mu);
-      GateMemo->RejectedGates.emplace(M.name(), Out.Summary);
+  try {
+    auto Result = std::make_shared<dataflow::PointsToResult>(
+        dataflow::analyzePointsTo(*CFG.Prog, S, &Tok));
+    dataflow::EscapeResult Esc =
+        dataflow::classifyEscapes(Result->Sys, Result->Sol);
+    Stats.Enabled = true;
+    Stats.HasMain = Result->Sys.HasMain;
+    Stats.Objects = Result->Stats.Objects;
+    Stats.Constraints = Result->Stats.Constraints;
+    Stats.Iterations = Result->Stats.Iterations;
+    Stats.ReachableMethods = Result->Stats.ReachableMethods;
+    Stats.TotalMethods = Result->Stats.TotalMethods;
+    Stats.LocalSites = Esc.NumLocal;
+    Stats.ArgSites = Esc.NumArg;
+    Stats.HeapSites = Esc.NumHeap;
+    if (PTC) {
+      std::lock_guard<std::mutex> L(PTC->Mu);
+      PTC->Valid = true;
+      PTC->Key = Key;
+      PTC->Result = Result;
+      PTC->Stats = Stats;
     }
-    return false;
+    return Result;
+  } catch (const CertifyError &) {
+    return nullptr;
   }
-
-  // Per-slice restricted programs and fixpoints. Their construction
-  // re-diagnoses what the canonical build below already reports, so
-  // they run against a throwaway engine.
-  DiagnosticEngine Quiet;
-  std::vector<bp::BooleanProgram> BPs;
-  BPs.reserve(SR.Slices.size());
-  for (const std::vector<std::string> &Sl : SR.Slices) {
-    bp::BuildRestriction Restrict;
-    Restrict.Vars = Sl;
-    BPs.push_back(bp::buildBooleanProgram(Abs, M, Quiet, Restrict));
-  }
-  std::vector<bp::IntraResult> Rs;
-  Rs.reserve(BPs.size());
-  for (const bp::BooleanProgram &BP : BPs)
-    Rs.push_back(bp::analyzeIntraproc(BP, Tok));
-  for (const bp::IntraResult &R : Rs)
-    for (CheckOutcome O : R.CheckResults)
-      if (O == CheckOutcome::Definite)
-        return false; // Only the unsliced run may confirm a definite
-                      // violation (it can truncate sibling paths).
-
-  // Canonical (unrestricted) check enumeration; map each check to the
-  // owning slice positionally per edge — the same mapping the
-  // certificate checker validates. Only the checks are needed, not the
-  // full unrestricted program (whose instantiation would dominate the
-  // sliced path's fixed overhead).
-  const std::vector<bp::Check> CanonChecks = bp::enumerateChecks(Abs, M, Quiet);
-  std::map<int, std::vector<size_t>> CanonByEdge;
-  for (size_t I = 0; I != CanonChecks.size(); ++I)
-    CanonByEdge[CanonChecks[I].Edge].push_back(I);
-  std::vector<std::pair<int, int>> Owner(CanonChecks.size(),
-                                         std::make_pair(-1, -1));
-  for (size_t SI = 0; SI != BPs.size(); ++SI) {
-    std::map<int, std::vector<size_t>> ByEdge;
-    for (size_t J = 0; J != BPs[SI].Checks.size(); ++J)
-      ByEdge[BPs[SI].Checks[J].Edge].push_back(J);
-    for (const auto &EdgeAndChecks : ByEdge) {
-      auto CIt = CanonByEdge.find(EdgeAndChecks.first);
-      const std::vector<size_t> &Js = EdgeAndChecks.second;
-      if (CIt == CanonByEdge.end() || CIt->second.size() != Js.size())
-        return false;
-      for (size_t K = 0; K != Js.size(); ++K) {
-        size_t CI = CIt->second[K];
-        const bp::Check &A = CanonChecks[CI];
-        const bp::Check &B = BPs[SI].Checks[Js[K]];
-        if (A.What != B.What || !(A.Loc == B.Loc) || Owner[CI].first >= 0)
-          return false;
-        Owner[CI] = {static_cast<int>(SI), static_cast<int>(Js[K])};
-      }
-    }
-  }
-  for (const std::pair<int, int> &O : Owner)
-    if (O.first < 0)
-      return false; // A check no slice owns cannot be claimed.
-
-  // Merged verdicts in canonical order; witnesses come from the owning
-  // slice's fixpoint (the restricted program runs on the original CFG,
-  // so no edge remapping is needed).
-  std::vector<CheckOutcome> Outcomes(CanonChecks.size());
-  std::vector<std::vector<WitnessTrace>> Witnesses(BPs.size());
-  for (size_t I = 0; I != CanonChecks.size(); ++I) {
-    const int SI = Owner[I].first, J = Owner[I].second;
-    Outcomes[I] = Rs[SI].CheckResults[J];
-    CheckVerdict V;
-    V.Method = M.name();
-    V.Loc = CanonChecks[I].Loc;
-    V.What = CanonChecks[I].What;
-    V.ReqLoc = CanonChecks[I].ReqLoc;
-    V.Outcome = Outcomes[I];
-    if (V.Outcome == CheckOutcome::Potential) {
-      if (Witnesses[SI].empty())
-        Witnesses[SI] = bp::intraWitnesses(BPs[SI], Rs[SI]);
-      V.Witness = std::move(Witnesses[SI][J]);
-    }
-    Out.Checks.push_back(std::move(V));
-  }
-
-  std::vector<cert::SliceEvidence> Ev;
-  Ev.reserve(BPs.size());
-  for (size_t SI = 0; SI != BPs.size(); ++SI)
-    Ev.push_back({SR.Slices[SI], &BPs[SI], &Rs[SI]});
-  Out.Cert = timed(Out.EmitMicros, [&] {
-    // Mode-1 (points-to) evidence only when the partition actually used
-    // the alias groups; a legacy partition is checkable by the local
-    // gates alone.
-    return cert::emitSlicePartition(M, Ev, Outcomes, MayUninit,
-                                    Alias ? PT : nullptr);
-  });
-  Out.SliceRuns = static_cast<unsigned>(BPs.size());
-  for (const bp::BooleanProgram &BP : BPs) {
-    Out.BoolVars += BP.Vars.size();
-    Out.MaxSliceBoolVars = std::max(Out.MaxSliceBoolVars, BP.Vars.size());
-  }
-  return true;
 }
 
 /// Runs one ladder rung to completion under \p Tok's budget; throws
@@ -596,9 +468,8 @@ bool certifyMethodSliced(const wp::DerivedAbstraction &Abs,
 ///
 /// \p StoreHits, when non-null, maps unit names to pre-validated store
 /// entries (checker-gated by the supervisor before the fan-out): a task
-/// whose unit has a hit reproduces the stored verdicts, certificate,
-/// and slice summary instead of running the engine. The map is only
-/// read concurrently.
+/// whose unit has a hit reproduces the stored verdicts and certificate
+/// instead of running the engine. The map is only read concurrently.
 void runEngine(EngineKind K, const easl::Spec &S,
                const wp::DerivedAbstraction &Abs,
                const CertifierOptions &Opts, const cj::ClientCFG &CFG,
@@ -606,277 +477,117 @@ void runEngine(EngineKind K, const easl::Spec &S,
                detail::PointsToCache *PTC, DiagnosticEngine &Diags,
                support::CancelToken &Tok, support::TaskPool &Pool,
                EngineRun &Run) {
-  // The Stage-0 lint runs for every engine; SCMPIntra folds it into its
-  // own pre-analysis below — except in certificate-emission mode, where
-  // SCMPIntra skips the verdict-preserving transformations (a sliced
-  // annotation is not independently checkable) and takes the lint here
-  // like everyone else.
-  if (Opts.PreAnalysis &&
-      (K != EngineKind::SCMPIntra || Opts.EmitCertificates)) {
-    dataflow::PreAnalysisOptions LintOnly = Opts.Pre;
-    LintOnly.EliminateDeadStores = false;
-    LintOnly.Slice = false;
-    LintOnly.Cancel = &Tok;
-    dataflow::PreAnalysisResult PA = dataflow::preAnalyze(CFG, Abs, LintOnly);
-    attachLints(Run.Lints, PA);
-    Run.Pre.Enabled = true;
-  }
+  // Optional whole-program points-to & escape pre-analysis: its
+  // per-method may-interfere groups replace the syntactic slicing
+  // gates.
+  std::shared_ptr<const dataflow::PointsToResult> PT;
+  if (K == EngineKind::SCMPIntra && Opts.PointsTo && CFG.Prog)
+    PT = solvePointsTo(S, CFG, PTC, Tok, Run.PointsTo);
+
+  // Stage 0 runs for every engine: the lint, plus the slice partition
+  // SCMPIntra builds its boolean programs over.
+  dataflow::PreAnalysisOptions PreOpts;
+  PreOpts.Slice = K == EngineKind::SCMPIntra;
+  PreOpts.Cancel = &Tok;
+  PreOpts.PointsTo = PT.get();
+  const dataflow::PreAnalysisResult PA = dataflow::preAnalyze(CFG, Abs, PreOpts);
+  attachLints(Run.Lints, PA);
 
   switch (K) {
   case EngineKind::SCMPIntra: {
-    // Optional whole-program points-to & escape pre-analysis. A failure
-    // here (budget exhaustion, the injected "points-to" fault) degrades
-    // precision — the engine continues with the unrefined slicing gates
-    // — rather than failing the rung.
-    std::shared_ptr<const dataflow::PointsToResult> PT;
-    if (Opts.PointsTo && CFG.Prog) {
-      // The solve is whole-program and the spec/abstraction are fixed
-      // per certifier, so the structural program hash alone keys the
-      // memo; hashing is linear in the CFG, the solve is not.
-      const uint64_t Key =
-          store::programInputHash(CFG, /*Context=*/0x70742D6361636865ULL);
-      if (PTC) {
-        std::lock_guard<std::mutex> L(PTC->Mu);
-        if (PTC->Valid && PTC->Key == Key) {
-          PT = PTC->Result;
-          Run.PointsTo = PTC->Stats;
-        }
-      }
-      if (!PT)
-        try {
-          auto Result = std::make_shared<dataflow::PointsToResult>(
-              dataflow::analyzePointsTo(*CFG.Prog, S, &Tok));
-          dataflow::EscapeResult Esc =
-              dataflow::classifyEscapes(Result->Sys, Result->Sol);
-          Run.PointsTo.Enabled = true;
-          Run.PointsTo.HasMain = Result->Sys.HasMain;
-          Run.PointsTo.Objects = Result->Stats.Objects;
-          Run.PointsTo.Constraints = Result->Stats.Constraints;
-          Run.PointsTo.Iterations = Result->Stats.Iterations;
-          Run.PointsTo.ReachableMethods = Result->Stats.ReachableMethods;
-          Run.PointsTo.TotalMethods = Result->Stats.TotalMethods;
-          Run.PointsTo.LocalSites = Esc.NumLocal;
-          Run.PointsTo.ArgSites = Esc.NumArg;
-          Run.PointsTo.HeapSites = Esc.NumHeap;
-          PT = std::move(Result);
-          if (PTC) {
-            std::lock_guard<std::mutex> L(PTC->Mu);
-            if (PTC->Key != Key)
-              PTC->RejectedGates.clear();
-            PTC->Valid = true;
-            PTC->Key = Key;
-            PTC->Result = PT;
-            PTC->Stats = Run.PointsTo;
-          }
-        } catch (const CertifyError &) {
-          // Unrefined gates stay sound without the points-to result. If
-          // the budget is exhausted the engine's own next tick fails
-          // the rung as usual. Failed solves are never memoized.
-        }
-    }
-
-    // The gate memo is only valid alongside its own points-to solution.
-    detail::PointsToCache *GateMemo = PT && PTC ? PTC : nullptr;
-
-    if (!Opts.PreAnalysis || Opts.EmitCertificates) {
-      const bool TrySliced =
-          Opts.EmitCertificates && Opts.PreAnalysis && Opts.Pre.Slice;
-      struct Slot {
-        std::vector<CheckVerdict> Checks;
-        std::vector<cert::Certificate> Certs;
-        DiagnosticEngine Diags;
-        MethodSliceSummary Summary;
-        unsigned SliceRuns = 0;
-        bool FellBack = false;
-        size_t BoolVars = 0;
-        size_t MaxBoolVars = 0;
-        double EmitMicros = 0;
-      };
-      std::vector<Slot> Slots(CFG.Methods.size());
-      std::vector<std::function<void()>> Tasks;
-      Tasks.reserve(CFG.Methods.size());
-      for (size_t MI = 0; MI != CFG.Methods.size(); ++MI)
-        Tasks.push_back([&, MI] {
-          const cj::CFGMethod &M = CFG.Methods[MI];
-          Slot &Out = Slots[MI];
-          if (StoreHits) {
-            auto HitIt = StoreHits->find(M.name());
-            if (HitIt != StoreHits->end()) {
-              const store::StoreEntry &SE = HitIt->second;
-              Out.Checks = SE.Checks;
-              Out.Certs.push_back(SE.Cert);
-              if (SE.HasSummary) {
-                Out.Summary.Method = M.name();
-                Out.Summary.Slices = SE.Slices;
-                Out.Summary.ForcedSingleReason = SE.ForcedSingleReason;
-              }
-              return;
-            }
-          }
-          if (TrySliced) {
-            SlicedCertAttempt A;
-            if (certifyMethodSliced(Abs, M, PT.get(), GateMemo, &Tok, A)) {
-              Out.Checks = std::move(A.Checks);
-              Out.Certs.push_back(std::move(A.Cert));
-              Out.BoolVars = A.BoolVars;
-              Out.MaxBoolVars = A.MaxSliceBoolVars;
-              Out.SliceRuns = A.SliceRuns;
-              Out.Summary = std::move(A.Summary);
-              Out.EmitMicros = A.EmitMicros;
-              return;
-            }
-            // The method split but could not be certified per-slice
-            // (definite violation or no canonical mapping): rerun
-            // unsliced below, like the non-certificate fallback.
-            Out.FellBack = A.Summary.Slices > 1;
-            Out.Summary = std::move(A.Summary);
-          }
-          bp::BooleanProgram BP = bp::buildBooleanProgram(Abs, M, Out.Diags);
-          bp::IntraResult R = bp::analyzeIntraproc(BP, &Tok);
-          Out.BoolVars = BP.Vars.size();
-          Out.MaxBoolVars = BP.Vars.size();
-          if (Opts.EmitCertificates)
-            Out.Certs.push_back(timed(
-                Out.EmitMicros, [&] { return cert::emitBoolIntra(BP, R); }));
-          std::vector<WitnessTrace> Witnesses;
-          if (R.numFlagged())
-            Witnesses = bp::intraWitnesses(BP, R);
-          for (size_t I = 0; I != BP.Checks.size(); ++I) {
-            CheckVerdict V;
-            V.Method = M.name();
-            V.Loc = BP.Checks[I].Loc;
-            V.What = BP.Checks[I].What;
-            V.Outcome = R.CheckResults[I];
-            V.ReqLoc = BP.Checks[I].ReqLoc;
-            if (!Witnesses.empty())
-              V.Witness = std::move(Witnesses[I]);
-            Out.Checks.push_back(std::move(V));
-          }
-        });
-      Pool.runAll(Tasks);
-      for (Slot &Out : Slots) {
-        Diags.mergeFrom(Out.Diags);
-        Run.BoolVars += Out.BoolVars;
-        Run.MaxBoolVars = std::max(Run.MaxBoolVars, Out.MaxBoolVars);
-        Run.EmitMicros += Out.EmitMicros;
-        Run.Pre.SliceRuns += Out.SliceRuns;
-        Run.Pre.FallbackMethods += Out.FellBack;
-        if (Out.Summary.Slices > 1)
-          ++Run.Pre.MultiSliceMethods;
-        if (!Out.Summary.Method.empty())
-          Run.SliceSummaries.push_back(std::move(Out.Summary));
-        for (CheckVerdict &V : Out.Checks)
-          Run.Checks.push_back(std::move(V));
-        for (cert::Certificate &Cert : Out.Certs)
-          Run.Certs.push_back(std::move(Cert));
-      }
-      return;
-    }
-
-    dataflow::PreAnalysisOptions PreOpts = Opts.Pre;
-    PreOpts.Cancel = &Tok;
-    PreOpts.PointsTo = PT.get();
-    dataflow::PreAnalysisResult PA = dataflow::preAnalyze(CFG, Abs, PreOpts);
-    attachLints(Run.Lints, PA);
-    Run.Pre.Enabled = true;
-    Run.Pre.EdgesPruned = PA.totalEdgesPruned();
-    Run.Pre.DeadStoresRemoved = PA.totalDeadStores();
-    Run.Pre.VarsDropped = PA.totalVarsDropped();
-    Run.Pre.MultiSliceMethods = PA.multiSliceMethods();
-    for (const dataflow::MethodPlan &Plan : PA.Plans)
-      if (!Plan.Retained.empty()) {
-        MethodSliceSummary MS;
-        MS.Method = Plan.Source->name();
-        MS.Slices = static_cast<unsigned>(Plan.Slices.size());
-        if (Plan.ForcedSingleReason)
-          MS.ForcedSingleReason = Plan.ForcedSingleReason;
-        Run.SliceSummaries.push_back(std::move(MS));
-      }
-
     // Closed-world pruning: under a solved points-to system with a
     // main() method, a method unreachable along the resolved call graph
     // never executes, so its obligations are discharged as Unreachable
-    // without running the engine.
-    const bool Prune = PT && PT->Sys.HasMain;
-
+    // without running the engine. Under certificate emission every
+    // method is analyzed instead, so every unit carries a certificate.
+    const bool Prune = PT && PT->Sys.HasMain && !Opts.EmitCertificates;
     struct Slot {
       std::vector<CheckVerdict> Checks;
+      std::vector<cert::Certificate> Certs;
       DiagnosticEngine Diags;
-      unsigned SliceRuns = 0;
-      unsigned FellBack = 0;
+      bool Analyzed = false;
       bool Pruned = false;
       size_t BoolVars = 0;
-      size_t MaxSliceBoolVars = 0;
+      double EmitMicros = 0;
     };
-    std::vector<Slot> Slots(PA.Plans.size());
+    std::vector<Slot> Slots(CFG.Methods.size());
     std::vector<std::function<void()>> Tasks;
-    Tasks.reserve(PA.Plans.size());
-    for (size_t PI = 0; PI != PA.Plans.size(); ++PI)
-      Tasks.push_back([&, PI] {
-        const dataflow::MethodPlan &Plan = PA.Plans[PI];
-        Slot &Out = Slots[PI];
-        if (Prune && !PT->Reachable.count(Plan.Source->name())) {
+    Tasks.reserve(CFG.Methods.size());
+    for (size_t MI = 0; MI != CFG.Methods.size(); ++MI)
+      Tasks.push_back([&, MI] {
+        const cj::CFGMethod &M = CFG.Methods[MI];
+        const dataflow::MethodPlan &Plan = PA.Plans[MI];
+        Slot &Out = Slots[MI];
+        if (StoreHits) {
+          auto HitIt = StoreHits->find(M.name());
+          if (HitIt != StoreHits->end()) {
+            Out.Checks = HitIt->second.Checks;
+            Out.Certs.push_back(HitIt->second.Cert);
+            return;
+          }
+        }
+        if (Prune && !PT->Reachable.count(M.name())) {
           Out.Pruned = true;
-          enumerateObligations(Abs, *Plan.Source, "", Out.Checks,
+          enumerateObligations(Abs, M, "", Out.Checks,
                                CheckOutcome::Unreachable, false);
           return;
         }
-        bp::SlicedIntraResult SR = bp::analyzeIntraprocSliced(
-            Abs, Plan.CFG, Plan.Slices, Out.Diags, &Tok);
-        Out.SliceRuns = SR.SliceRuns;
-        Out.FellBack = SR.FellBack;
-        Out.BoolVars = SR.BoolVars;
-        Out.MaxSliceBoolVars = SR.MaxSliceBoolVars;
-
-        // Interleave the engine's verdicts with the obligations of
-        // pruned (entry-unreachable) edges, restoring original edge
-        // order.
-        const std::string Name = Plan.Source->name();
-        size_t I = 0, D = 0;
-        while (I != SR.Items.size() || D != Plan.DroppedChecks.size()) {
-          bool TakeDropped =
-              I == SR.Items.size() ||
-              (D != Plan.DroppedChecks.size() &&
-               Plan.DroppedChecks[D].OrigEdge <
-                   Plan.OrigEdgeIndex[SR.Items[I].Edge]);
-          if (TakeDropped) {
-            const dataflow::DroppedCheck &DC = Plan.DroppedChecks[D++];
-            CheckRecord Rec;
-            Rec.Method = Name;
-            Rec.Loc = DC.Loc;
-            Rec.What = DC.What;
-            Rec.Outcome = CheckOutcome::Unreachable;
-            Out.Checks.push_back(std::move(Rec));
-          } else {
-            bp::SlicedCheckItem It = SR.Items[I++];
-            It.Rec.Method = Name;
-            // Witness steps refer to the transformed working copy;
-            // remap them onto the original method so the story (and the
-            // replay checker) sees the untransformed source edges.
-            for (WitnessStep &WS : It.Rec.Witness.Steps) {
-              if (WS.Edge < 0 ||
-                  static_cast<size_t>(WS.Edge) >= Plan.OrigEdgeIndex.size())
-                continue;
-              WS.Edge = Plan.OrigEdgeIndex[WS.Edge];
-              const cj::Action &A = Plan.Source->Edges[WS.Edge].Act;
-              WS.Loc = A.Loc;
-              if (WS.K != WitnessStep::Kind::Check)
-                WS.ActionText = A.str();
-            }
-            Out.Checks.push_back(std::move(It.Rec));
-          }
+        // One boolean program per method: over the Stage-0 partition,
+        // instances spanning two slices fold to constant false, and the
+        // checks, verdicts and witnesses are the unpartitioned
+        // program's.
+        const bool Split = Plan.multiSlice();
+        const bp::BooleanProgram BP =
+            Split ? bp::buildBooleanProgram(Abs, M, Out.Diags, Plan.Slices)
+                  : bp::buildBooleanProgram(Abs, M, Out.Diags);
+        const bp::IntraResult R = bp::analyzeIntraproc(BP, &Tok);
+        Out.Analyzed = true;
+        Out.BoolVars = BP.Vars.size();
+        if (Opts.EmitCertificates)
+          Out.Certs.push_back(timed(Out.EmitMicros, [&] {
+            if (!Split)
+              return cert::emitBoolIntra(BP, R);
+            // Mode-1 (points-to) evidence only when the partition used
+            // the alias groups; a syntactic partition is checkable by
+            // the local gates alone.
+            const bool Alias = PT && PT->aliasFor(M.name());
+            return cert::emitSlicePartition(Plan.Slices, BP, R, Plan.MayUninit,
+                                            Alias ? PT.get() : nullptr);
+          }));
+        std::vector<WitnessTrace> Witnesses;
+        if (R.numFlagged())
+          Witnesses = bp::intraWitnesses(BP, R);
+        for (size_t I = 0; I != BP.Checks.size(); ++I) {
+          CheckVerdict V;
+          V.Method = M.name();
+          V.Loc = BP.Checks[I].Loc;
+          V.What = BP.Checks[I].What;
+          V.Outcome = R.CheckResults[I];
+          V.ReqLoc = BP.Checks[I].ReqLoc;
+          if (!Witnesses.empty())
+            V.Witness = std::move(Witnesses[I]);
+          Out.Checks.push_back(std::move(V));
         }
       });
     Pool.runAll(Tasks);
-    for (Slot &Out : Slots) {
+    Run.Pre.MultiSliceMethods = PA.multiSliceMethods();
+    for (size_t MI = 0; MI != Slots.size(); ++MI) {
+      const dataflow::MethodPlan &Plan = PA.Plans[MI];
+      if (!Plan.Slices.empty())
+        Run.SliceSummaries.push_back(
+            {Plan.Source->name(), static_cast<unsigned>(Plan.Slices.size()),
+             Plan.ForcedSingleReason ? Plan.ForcedSingleReason : ""});
+      Slot &Out = Slots[MI];
       Diags.mergeFrom(Out.Diags);
-      Run.Pre.SliceRuns += Out.SliceRuns;
-      Run.Pre.FallbackMethods += Out.FellBack;
+      Run.Pre.SliceRuns += Out.Analyzed;
       Run.PointsTo.PrunedMethods += Out.Pruned;
       Run.BoolVars += Out.BoolVars;
-      Run.MaxBoolVars = std::max(Run.MaxBoolVars, Out.MaxSliceBoolVars);
+      Run.MaxBoolVars = std::max(Run.MaxBoolVars, Out.BoolVars);
+      Run.EmitMicros += Out.EmitMicros;
       for (CheckVerdict &V : Out.Checks)
         Run.Checks.push_back(std::move(V));
+      for (cert::Certificate &Cert : Out.Certs)
+        Run.Certs.push_back(std::move(Cert));
     }
     return;
   }
@@ -1274,20 +985,14 @@ CertificationReport Certifier::certify(const cj::Program &P,
   Report.EffectiveEngine = "lint-only";
   std::string Note =
       "all engines failed (" + FirstFailure + "); Stage-0 lint only";
-  if (Opts.PreAnalysis) {
-    try {
-      support::CancelToken Unlimited;
-      dataflow::PreAnalysisOptions LintOnly = Opts.Pre;
-      LintOnly.EliminateDeadStores = false;
-      LintOnly.Slice = false;
-      LintOnly.Cancel = &Unlimited;
-      dataflow::PreAnalysisResult PA =
-          dataflow::preAnalyze(CFG, Abs, LintOnly);
-      attachLints(Report.Lints, PA);
-      Report.Pre.Enabled = true;
-    } catch (const CertifyError &) {
-      // Even the lint failed (a second armed fault): obligations alone.
-    }
+  try {
+    support::CancelToken Unlimited;
+    dataflow::PreAnalysisOptions LintOnly;
+    LintOnly.Slice = false;
+    LintOnly.Cancel = &Unlimited;
+    attachLints(Report.Lints, dataflow::preAnalyze(CFG, Abs, LintOnly));
+  } catch (const CertifyError &) {
+    // Even the lint failed (a second armed fault): obligations alone.
   }
   for (const cj::CFGMethod &M : CFG.Methods)
     enumerateObligations(Abs, M, Note, Report.Checks);

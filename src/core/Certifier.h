@@ -21,7 +21,6 @@
 #include "cert/Certificate.h"
 #include "client/Parser.h"
 #include "core/Verdict.h"
-#include "dataflow/PreAnalysis.h"
 #include "easl/Parser.h"
 #include "store/CertStore.h"
 #include "support/Budget.h"
@@ -73,18 +72,13 @@ struct LintFinding {
   bool RequiresBearing = false;
 };
 
-/// Aggregate statistics of the Stage-0 pre-analysis (see
+/// Aggregate statistics of the SCMPIntra engine's Stage-0 slicing (see
 /// dataflow::preAnalyze).
 struct PreAnalysisSummary {
-  bool Enabled = false;
-  unsigned EdgesPruned = 0;
-  unsigned DeadStoresRemoved = 0;
-  unsigned VarsDropped = 0;
+  /// Methods whose component variables split into several slices.
   unsigned MultiSliceMethods = 0;
-  /// Boolean programs built and analyzed across all methods.
+  /// Boolean programs built and analyzed: one per analyzed method.
   unsigned SliceRuns = 0;
-  /// Methods whose sliced run hit a Definite verdict and reran unsliced.
-  unsigned FallbackMethods = 0;
 };
 
 /// Statistics of the whole-program points-to & escape pre-analysis
@@ -110,7 +104,7 @@ struct PointsToReport {
 };
 
 /// Per-method slicing outcome of the SCMPIntra engine, surfaced so
-/// clients can see *why* a method did or did not certify per-slice.
+/// clients can see *why* a method's variables did or did not split.
 struct MethodSliceSummary {
   std::string Method;
   unsigned Slices = 0;
@@ -174,13 +168,12 @@ struct CertificationReport {
   PreAnalysisSummary Pre;
   PointsToReport PointsTo;
   /// Per-method slicing outcomes of the SCMPIntra engine, method order;
-  /// only methods with retained component variables appear.
+  /// only methods with component variables appear.
   std::vector<MethodSliceSummary> SliceSummaries;
   InterprocStats Inter;
   TVLAStats Tvla;
   /// Total and largest boolean-program size B across the per-method
-  /// (or per-slice) programs the SCMPIntra engine analyzed; zero for
-  /// other engines.
+  /// programs the SCMPIntra engine analyzed; zero for other engines.
   size_t BoolVars = 0;
   size_t MaxBoolVars = 0;
 
@@ -211,13 +204,10 @@ struct CertificationReport {
   std::string str() const;
 };
 
-/// Per-certifier knobs. Stage-0 pre-analysis is on by default: the lint
-/// runs for every engine, and the verdict-preserving program
-/// transformations (pruning, dead-store elimination, slicing) apply to
-/// the SCMPIntra engine.
+/// Per-certifier knobs. The Stage-0 lint runs for every engine; the
+/// SCMPIntra engine also builds each method's boolean program over the
+/// Stage-0 slice partition.
 struct CertifierOptions {
-  bool PreAnalysis = true;
-  dataflow::PreAnalysisOptions Pre;
   /// When true (the default) the supervisor catches recoverable engine
   /// errors (CertifyError: budget exhaustion, injected faults, checked
   /// invariants) and retries down the engine ladder
@@ -254,14 +244,11 @@ struct CertifierOptions {
   bool PointsTo = false;
   /// Emit a proof-carrying certificate per analyzed unit, carrying the
   /// engine's fixpoint evidence for every Safe/Unreachable verdict
-  /// (CertificationReport::Certificates). The SCMPIntra engine analyzes
-  /// each method unsliced unless Stage-0 slicing (and PreAnalysis) is
-  /// on and the method splits into multiple slices, in which case it
-  /// runs per-slice and emits a SlicePartition certificate whose
-  /// checker re-validates the partition itself — so --check-only covers
-  /// sliced runs too. Dead-store elimination and edge pruning stay off
-  /// under emission (every obligation must appear in a checkable
-  /// enumeration).
+  /// (CertificationReport::Certificates). Emission never changes the
+  /// report. The SCMPIntra engine emits a BoolIntra certificate for a
+  /// one-slice method and a SlicePartition certificate — the partition,
+  /// its evidence, and the one annotation — for a method that splits,
+  /// so --check-only covers partitioned programs too.
   bool EmitCertificates = false;
   /// Re-validate every emitted certificate with the independent
   /// cert::Checker before the rung's verdicts are accepted. A rejected

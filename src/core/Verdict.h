@@ -132,7 +132,7 @@ struct WitnessTrace {
 };
 
 /// One requires obligation with its verdict — the unified record shared
-/// by the intraprocedural, sliced, and interprocedural engines.
+/// by the intraprocedural and interprocedural engines.
 struct CheckRecord {
   std::string Method; ///< "Class::method" containing the call.
   SourceLoc Loc;      ///< Client call location.

@@ -40,24 +40,3 @@ CFGInfo::CFGInfo(const cj::CFGMethod &Method) : M(&Method) {
   for (size_t I = 0; I != PostOrder.size(); ++I)
     RPONumber[PostOrder[PostOrder.size() - 1 - I]] = static_cast<int>(I);
 }
-
-PruneStats dataflow::pruneUnreachableEdges(cj::CFGMethod &M,
-                                           std::vector<int> &OrigEdgeIndex) {
-  CFGInfo Info(M);
-  PruneStats Stats;
-  Stats.NodesUnreachable =
-      static_cast<unsigned>(M.NumNodes) - Info.numReachable();
-  OrigEdgeIndex.clear();
-  std::vector<cj::CFGEdge> Kept;
-  Kept.reserve(M.Edges.size());
-  for (size_t E = 0; E != M.Edges.size(); ++E) {
-    if (!Info.reachable(M.Edges[E].From)) {
-      ++Stats.EdgesRemoved;
-      continue;
-    }
-    OrigEdgeIndex.push_back(static_cast<int>(E));
-    Kept.push_back(std::move(M.Edges[E]));
-  }
-  M.Edges = std::move(Kept);
-  return Stats;
-}

@@ -67,19 +67,6 @@ private:
   unsigned NumReachable = 0;
 };
 
-struct PruneStats {
-  unsigned EdgesRemoved = 0;
-  unsigned NodesUnreachable = 0;
-};
-
-/// Removes every edge whose source is unreachable from the entry node
-/// (node ids are preserved; unreachable nodes simply lose their edges).
-/// \p OrigEdgeIndex receives, per surviving edge, its index in the
-/// original edge list, so downstream consumers can report results in
-/// original program order.
-PruneStats pruneUnreachableEdges(cj::CFGMethod &M,
-                                 std::vector<int> &OrigEdgeIndex);
-
 /// Maps the method's component-typed variable names to dense indices.
 class CompVarMap {
 public:

@@ -3,20 +3,18 @@
 /// \file
 /// The Stage-0 client pre-analysis: the cheapest stage of the staged
 /// certification pipeline (Section 1.3), run after CFG construction and
-/// before any engine. Per client method it
+/// before any engine. Per client method, over the original CFG, it
 ///
-///   1. prunes edges unreachable from the entry (pass 4),
-///   2. lints possibly-uninitialized component uses (pass 1),
-///   3. eliminates dead component stores and drops component locals
-///      that never reach a component call, shrinking B (pass 2),
-///   4. partitions the surviving locals into copy/alias-connected
-///      slices for per-slice SCMP certification (pass 3).
+///   1. lints possibly-uninitialized component uses (definite
+///      assignment), and
+///   2. partitions the component locals into copy/alias-connected
+///      slices (dataflow/Slicing.h).
 ///
-/// All transformations are verdict-preserving for the intraprocedural
-/// SCMP engine: the requires checks of pruned calls are re-synthesized
-/// with outcome "unreachable", and slicing falls back to the unsliced
-/// run when a definite violation could truncate paths (see
-/// bp::analyzeIntraprocSliced and DESIGN.md "Stage 0 pre-analysis").
+/// The SCMPIntra engine builds one boolean program per method over the
+/// partition: instances whose component-variable arguments fall in two
+/// different slices fold to constant false, and every verdict, witness
+/// and check text stays that of the unpartitioned program (see
+/// bp::buildBooleanProgram and DESIGN.md "Stage 0 pre-analysis").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +22,6 @@
 #define CANVAS_DATAFLOW_PREANALYSIS_H
 
 #include "dataflow/DefiniteAssignment.h"
-#include "dataflow/Liveness.h"
 #include "dataflow/Slicing.h"
 #include "wp/Abstraction.h"
 
@@ -37,10 +34,12 @@ namespace dataflow {
 struct PointsToResult;
 
 struct PreAnalysisOptions {
-  bool PruneUnreachable = true;
-  bool Lint = true;
-  bool EliminateDeadStores = true;
+  /// Compute the slice partition; without it every method with
+  /// component variables gets one slice.
   bool Slice = true;
+  /// No effect: dead-store elimination was removed. Kept so existing
+  /// callers still compile.
+  bool EliminateDeadStores = false;
   /// Optional budget handle bounding the Stage-0 fixpoints (not owned).
   support::CancelToken *Cancel = nullptr;
   /// Optional whole-program points-to result (not owned). When set,
@@ -49,35 +48,17 @@ struct PreAnalysisOptions {
   const PointsToResult *PointsTo = nullptr;
 };
 
-/// A requires obligation that sat on a pruned (entry-unreachable) edge.
-/// Its verdict is "unreachable" by construction; the text matches what
-/// the unpruned boolean program would have reported.
-struct DroppedCheck {
-  int OrigEdge = -1;
-  SourceLoc Loc;
-  std::string What;
-};
-
 /// The Stage-0 result for one client method.
 struct MethodPlan {
   const cj::CFGMethod *Source = nullptr;
-  /// Pruned, dead-store-eliminated working copy. Node ids and CompVars
-  /// are preserved; only the edge list and dead actions change.
-  cj::CFGMethod CFG;
-  /// Per surviving edge, its index in Source->Edges.
-  std::vector<int> OrigEdgeIndex;
-  std::vector<DroppedCheck> DroppedChecks;
-  /// Component locals still relevant to certification, declaration
-  /// order. The boolean program is instantiated over these only.
-  std::vector<std::string> Retained;
-  /// Partition of Retained (at least one slice when nonempty).
+  /// Partition of the component locals, declaration order (at least one
+  /// slice when the method has any).
   std::vector<std::vector<std::string>> Slices;
   const char *ForcedSingleReason = nullptr;
-
-  unsigned EdgesPruned = 0;
-  unsigned NodesUnreachable = 0;
-  unsigned DeadStoresRemoved = 0;
-  unsigned VarsDropped = 0;
+  /// The definite-assignment fixpoint (analyzeDefiniteAssignment's
+  /// StatesOut), kept for multi-slice methods only: a SlicePartition
+  /// certificate derives its must-assigned annotation from it.
+  std::vector<BitVector> MayUninit;
 
   bool multiSlice() const { return Slices.size() > 1; }
 };
@@ -90,22 +71,15 @@ struct PreAnalysisResult {
   /// Methods attributed per finding (parallel to Findings).
   std::vector<std::string> FindingMethods;
 
-  unsigned totalEdgesPruned() const;
-  unsigned totalDeadStores() const;
-  unsigned totalVarsDropped() const;
   unsigned multiSliceMethods() const;
 };
 
 /// True when any update rule of \p Abs reads a predicate over "ret" in
-/// the pre-call state; such abstractions keep unused call results
-/// retained and disable slicing (no built-in spec triggers this).
+/// the pre-call state; such abstractions disable slicing (no built-in
+/// spec triggers this).
 bool abstractionReadsRetSources(const wp::DerivedAbstraction &Abs);
 
-/// Runs Stage 0 on one method / a whole client.
-MethodPlan preAnalyzeMethod(const cj::CFGMethod &M,
-                            const wp::DerivedAbstraction &Abs,
-                            const PreAnalysisOptions &Opts,
-                            std::vector<UninitUse> *Findings);
+/// Runs Stage 0 on every method of a client.
 PreAnalysisResult preAnalyze(const cj::ClientCFG &CFG,
                              const wp::DerivedAbstraction &Abs,
                              const PreAnalysisOptions &Opts = {});

@@ -31,46 +31,17 @@ private:
 
 } // namespace
 
-double SliceCostModel::projectedBoolVars(
-    const std::vector<std::pair<std::string, std::string>> &TypedVars) const {
-  // Count variables per component type once; each family contributes
-  // the number of its non-degenerate instantiations over the set.
-  std::map<std::string, size_t> ByType;
-  for (const auto &VarAndType : TypedVars)
-    ++ByType[VarAndType.second];
-  auto Count = [&](const std::string &T) -> double {
-    auto It = ByType.find(T);
-    return It == ByType.end() ? 0.0 : static_cast<double>(It->second);
-  };
-  double B = 0;
-  for (const std::vector<std::string> &Slots : FamilySlotTypes) {
-    if (Slots.size() == 1) {
-      B += Count(Slots[0]);
-    } else if (Slots.size() == 2) {
-      double N0 = Count(Slots[0]);
-      // Same-type pairs lose the diagonal: an instance over (x, x)
-      // folds to a constant (bp::Builder's canonical conjunction
-      // carries x != y).
-      B += Slots[0] == Slots[1] ? N0 * (N0 - 1) : N0 * Count(Slots[1]);
-    }
-    // Wider families are not instantiated by the boolean-program
-    // builder; they contribute nothing to either side of the gate.
-  }
-  return B;
-}
-
 SliceResult dataflow::computeSlices(const cj::CFGMethod &M,
-                                    const std::vector<std::string> &Retained,
+                                    const std::vector<std::string> &Vars,
                                     bool HasUninitUses,
                                     bool AbsReadsRetSources,
-                                    const MethodAliasInfo *Alias,
-                                    const SliceCostModel *Cost) {
+                                    const MethodAliasInfo *Alias) {
   SliceResult R;
-  if (Retained.empty())
+  if (Vars.empty())
     return R;
 
   auto Single = [&](const char *Why) {
-    R.Slices.assign(1, Retained);
+    R.Slices.assign(1, Vars);
     R.ForcedSingleReason = Why;
     return R;
   };
@@ -95,14 +66,14 @@ SliceResult dataflow::computeSlices(const cj::CFGMethod &M,
   }
 
   std::map<std::string, int> Index;
-  for (size_t I = 0; I != Retained.size(); ++I)
-    Index.emplace(Retained[I], static_cast<int>(I));
+  for (size_t I = 0; I != Vars.size(); ++I)
+    Index.emplace(Vars[I], static_cast<int>(I));
   auto IndexOf = [&](const std::string &V) {
     auto It = Index.find(V);
     return It == Index.end() ? -1 : It->second;
   };
 
-  UnionFind UF(Retained.size());
+  UnionFind UF(Vars.size());
   auto Merge = [&](int &Anchor, const std::string &V) {
     int I = IndexOf(V);
     if (I < 0)
@@ -117,7 +88,7 @@ SliceResult dataflow::computeSlices(const cj::CFGMethod &M,
     // The whole-program relatedness groups already close over action
     // operands, heap aliasing, and interprocedural flow — including
     // what reaches the parameters from every caller — so they are the
-    // partition, intersected with the retained set.
+    // partition, intersected with the method's variables.
     for (const std::vector<std::string> &G : Alias->Groups) {
       int Anchor = -1;
       for (const std::string &V : G)
@@ -150,46 +121,14 @@ SliceResult dataflow::computeSlices(const cj::CFGMethod &M,
 
   // Emit slices in declaration order of their first member.
   std::map<int, size_t> RootToSlice;
-  for (size_t I = 0; I != Retained.size(); ++I) {
+  for (size_t I = 0; I != Vars.size(); ++I) {
     int Root = UF.find(static_cast<int>(I));
     auto It = RootToSlice.find(Root);
     if (It == RootToSlice.end()) {
       It = RootToSlice.emplace(Root, R.Slices.size()).first;
       R.Slices.emplace_back();
     }
-    R.Slices[It->second].push_back(Retained[I]);
-  }
-
-  // Acceptance gate on alias-refined partitions: the projected boolvar
-  // reduction must beat the fixed per-slice overhead (see
-  // SliceCostModel). The type of every retained variable comes from the
-  // method's component-variable table.
-  if (Alias && Cost && R.Slices.size() > 1) {
-    auto TypeOf = [&](const std::string &V) -> const std::string & {
-      static const std::string None;
-      for (const auto &NameAndType : M.CompVars)
-        if (NameAndType.first == V)
-          return NameAndType.second;
-      return None;
-    };
-    auto Typed = [&](const std::vector<std::string> &Vars) {
-      std::vector<std::pair<std::string, std::string>> TV;
-      TV.reserve(Vars.size());
-      for (const std::string &V : Vars)
-        TV.emplace_back(V, TypeOf(V));
-      return TV;
-    };
-    const double Whole = Cost->projectedBoolVars(Typed(Retained));
-    double SlicedWork = 0;
-    for (const std::vector<std::string> &S : R.Slices) {
-      double B = Cost->projectedBoolVars(Typed(S));
-      SlicedWork += B * B;
-    }
-    const double Saved = Whole * Whole - SlicedWork;
-    const double Overhead =
-        Cost->PerSliceOverhead * static_cast<double>(R.Slices.size() - 1);
-    if (Saved < Overhead)
-      return Single("projected slicing win below per-slice overhead");
+    R.Slices[It->second].push_back(Vars[I]);
   }
   return R;
 }

@@ -1,10 +1,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Instance slicing (Stage-0 pass 3): partitions a method's retained
-/// component locals into copy/alias-connected slices so the SCMP
-/// intraprocedural engine can run once per slice — O(E·Σ Bᵢ²) instead
-/// of O(E·B²) with B = Σ Bᵢ.
+/// Instance slicing (Stage-0 pass 2): partitions a method's component
+/// locals into copy/alias-connected slices. The SCMP intraprocedural
+/// engine instantiates only the predicate instances within one slice,
+/// so its one boolean program has B = Σ Bᵢ variables instead of the
+/// instances over every pair of slices.
 ///
 /// Two variables land in the same slice when any action mentions both
 /// (copies, call receiver/arguments/result, constructor arguments,
@@ -14,9 +15,8 @@
 /// that never returns a value cannot relate its return slot to
 /// anything). A predicate instance over variables from *different*
 /// slices can then never become true — no action ever relates the
-/// objects — which is what makes per-slice certification
-/// verdict-preserving (see DESIGN.md for the argument and the fallback
-/// for definite violations).
+/// objects — which is what lets the engine fold such instances to
+/// constant false without changing a verdict (see DESIGN.md).
 ///
 /// Without alias information, slicing is forced off (one slice) when
 /// the invariant cannot be established syntactically: heap component
@@ -45,67 +45,27 @@ namespace dataflow {
 
 struct MethodAliasInfo;
 
-/// Cost model for the alias-refined slicing acceptance gate. Per-slice
-/// certification is verdict-preserving but not free: every extra slice
-/// pays a fixed overhead (a restricted boolean-program build, one more
-/// annotation section in the SlicePartition certificate, and the
-/// checker's mirror of both), while the win is the boolvar reduction in
-/// the O(E·B²) fixpoints. An alias-group partition is accepted only
-/// when the projected reduction beats that overhead:
-///
-///   B(R)² − Σᵢ B(rᵢ)² ≥ PerSliceOverhead · (k − 1)
-///
-/// with B(·) the projected boolean-variable count of a variable set
-/// (instrumentation-family instances over it) and k the slice count.
-/// Syntactic (mode-0) partitions are not gated — they carry no
-/// points-to payload and their methods had to be heap-free already.
-struct SliceCostModel {
-  /// Per-slot client types of each instrumentation-predicate family,
-  /// resolved against the component spec (wp::PredicateFamily::VarTypes
-  /// in declaration order). Drives the projected boolvar count: an
-  /// arity-1 family over a type with n variables contributes n
-  /// instances, an arity-2 family n₁·n₂ (or n·(n−1) when both slots
-  /// share a type — diagonal instances fold to constants).
-  std::vector<std::vector<std::string>> FamilySlotTypes;
-  /// Fixed per-extra-slice overhead in the same squared-boolvar units
-  /// as the fixpoint cost model, calibrated on the alias bench suite
-  /// (bench/bench_certification.cpp "tvla-pointsto-slicing"): large
-  /// enough to refuse a 2×4-variable split whose overhead outweighs the
-  /// tiny fixpoints, small enough to keep every multi-pipeline client
-  /// sliced.
-  double PerSliceOverhead = 256.0;
-
-  /// Projected boolean-variable count for one slice's variable set,
-  /// given each variable's declared component type.
-  double projectedBoolVars(
-      const std::vector<std::pair<std::string, std::string>> &TypedVars) const;
-};
-
 struct SliceResult {
-  /// Partition of the retained variables; slices and the variables
-  /// within them follow declaration order. Always at least one slice
-  /// when the retained set is nonempty.
+  /// Partition of the variables; slices and the variables within them
+  /// follow declaration order. Always at least one slice when the
+  /// variable set is nonempty.
   std::vector<std::vector<std::string>> Slices;
   /// When slicing was forced off, the reason (static string); null
   /// otherwise.
   const char *ForcedSingleReason = nullptr;
 };
 
-/// Computes the slice partition of \p Retained for \p M (normally the
-/// pruned, dead-store-eliminated CFG). \p HasUninitUses and
-/// \p AbsReadsRetSources communicate the Stage-0 gates that force a
-/// single slice. \p Alias, when non-null, must be the points-to
-/// relatedness partition computed for this method over the whole
-/// program (PointsToResult::aliasFor); it relaxes the heap/havoc gates
-/// and refines the entry and client-call merges. \p Cost, when non-null
-/// alongside \p Alias, applies the SliceCostModel acceptance gate to
-/// the resulting partition; a refused partition degrades to a single
-/// slice with a ForcedSingleReason, never to different verdicts.
+/// Computes the slice partition of \p Vars (component locals of \p M,
+/// declaration order). \p HasUninitUses and \p AbsReadsRetSources
+/// communicate the Stage-0 gates that force a single slice. \p Alias,
+/// when non-null, must be the points-to relatedness partition computed
+/// for this method over the whole program (PointsToResult::aliasFor);
+/// it relaxes the heap/havoc gates and refines the entry and
+/// client-call merges.
 SliceResult computeSlices(const cj::CFGMethod &M,
-                          const std::vector<std::string> &Retained,
+                          const std::vector<std::string> &Vars,
                           bool HasUninitUses, bool AbsReadsRetSources,
-                          const MethodAliasInfo *Alias = nullptr,
-                          const SliceCostModel *Cost = nullptr);
+                          const MethodAliasInfo *Alias = nullptr);
 
 } // namespace dataflow
 } // namespace canvas

@@ -57,8 +57,9 @@ struct StoreEntry {
   std::string Unit;
   /// engineName() of the producing rung; a hit requires an exact match.
   std::string Engine;
-  /// SCMPIntra slicing summary, reproduced on a hit so the report's
-  /// "slicing:" lines stay byte-identical to a cold run.
+  /// SCMPIntra slicing summary of the unit when it was committed. A hit
+  /// does not need it: Stage 0 recomputes every method's partition, so
+  /// the report's "slicing:" lines match a cold run either way.
   bool HasSummary = false;
   uint32_t Slices = 0;
   std::string ForcedSingleReason;

@@ -34,8 +34,10 @@ namespace store {
 /// instead of misparsing them. Version 2: SCMPIntra witnesses are read
 /// off the possible-value fixpoint, which breaks ties between
 /// equal-length paths differently, so version-1 entries carry stale
-/// witness text.
-inline constexpr uint32_t EntryFormatVersion = 2;
+/// witness text. Version 3: a SlicePartition certificate carries one
+/// annotation over the partitioned program instead of one per slice,
+/// and every method that splits gets one (no unsliced fallback).
+inline constexpr uint32_t EntryFormatVersion = 3;
 
 /// Folds the run-wide certification context into one seed: the FNV-1a
 /// hash of the spec source, the derived abstraction's rendering, the

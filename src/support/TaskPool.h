@@ -2,7 +2,7 @@
 ///
 /// \file
 /// A bounded worker pool for the certification fan-out: independent
-/// per-method / per-slice analyses on one ladder rung run concurrently,
+/// per-method analyses on one ladder rung run concurrently,
 /// while the supervisor, report merging, and everything the tasks
 /// observe stays deterministic:
 ///

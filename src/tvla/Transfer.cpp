@@ -33,7 +33,7 @@ Transfer::Transfer(const DerivedAbstraction &Abs, const cj::CFGMethod &M,
       Diagonals.emplace_back(P, Kleene::False);
     // Non-constant diagonals are handled by a (ret, ret) rule.
   }
-  enumerateChecks();
+  collectChecks();
   buildPlans();
 }
 
@@ -48,7 +48,7 @@ const MethodAbstraction *Transfer::abstractionFor(const cj::Action &A) const {
   return nullptr;
 }
 
-void Transfer::enumerateChecks() {
+void Transfer::collectChecks() {
   for (size_t E = 0; E != M.Edges.size(); ++E) {
     const MethodAbstraction *MA = abstractionFor(M.Edges[E].Act);
     if (!MA)
@@ -120,7 +120,7 @@ Transfer::compileApp(const PredApp &App,
 
 void Transfer::buildPlans() {
   Plans.resize(M.Edges.size());
-  // Check indices in (edge, clause) order, mirroring enumerateChecks.
+  // Check indices in (edge, clause) order, mirroring collectChecks.
   size_t NextCheck = 0;
   for (size_t E = 0; E != M.Edges.size(); ++E) {
     const cj::Action &A = M.Edges[E].Act;

@@ -148,7 +148,7 @@ private:
   };
 
   const wp::MethodAbstraction *abstractionFor(const cj::Action &A) const;
-  void enumerateChecks();
+  void collectChecks();
   void buildPlans();
   CompiledApp compileApp(const wp::PredApp &App,
                          const std::vector<std::string> &BinderNames,

@@ -4,10 +4,9 @@
 /// Renderings that pin bp::buildBooleanProgram's output byte for byte:
 /// for every method of the 13 bench-suite clients and the first 20
 /// clients of corpus seed 7, the boolean program (variables with their
-/// family and arguments, per-edge assignments) and every check of five
-/// builds — unrestricted, per Stage-0 slice, over the slices' union,
-/// the check-only enumeration, and unrestricted over the ghost-extended
-/// CFG the interprocedural engine analyzes.
+/// family and arguments, per-edge assignments) and every check of two
+/// builds — unrestricted, and unrestricted over the ghost-extended CFG
+/// the interprocedural engine analyzes.
 ///
 /// BuildGoldenTest compares FNV-1a digests of these renderings with
 /// tests/boolprog/BuildGolden.txt; `build_golden_gen CORPUS_DIR` writes
@@ -21,7 +20,6 @@
 
 #include "boolprog/BooleanProgram.h"
 #include "client/Parser.h"
-#include "dataflow/PreAnalysis.h"
 #include "easl/Builtins.h"
 #include "shard/Corpus.h"
 
@@ -107,30 +105,14 @@ inline void collectClient(const std::string &Name, const std::string &Source,
   DiagnosticEngine Diags;
   cj::Program P = cj::parseProgram(Source, Diags);
   cj::ClientCFG CFG = cj::buildCFG(P, Spec, Diags);
-  dataflow::PreAnalysisResult PA = dataflow::preAnalyze(CFG, Abs);
-  for (size_t MI = 0; MI != CFG.Methods.size(); ++MI) {
-    const cj::CFGMethod &M = CFG.Methods[MI];
+  for (const cj::CFGMethod &M : CFG.Methods) {
     const std::string Prefix = Name + " " + M.name() + " ";
     DiagnosticEngine D;
     Out.push_back({Prefix + "unrestricted",
                    programStr(bp::buildBooleanProgram(Abs, M, D))});
-    Out.push_back({Prefix + "checks",
-                   checksStr(bp::enumerateChecks(Abs, M, D))});
     const cj::CFGMethod Ext = ghostExtended(Abs, M);
     Out.push_back({Prefix + "ghost",
                    programStr(bp::buildBooleanProgram(Abs, Ext, D))});
-    const dataflow::MethodPlan &Plan = PA.Plans[MI];
-    bp::BuildRestriction Union;
-    for (size_t SI = 0; SI != Plan.Slices.size(); ++SI) {
-      bp::BuildRestriction R;
-      R.Vars = Plan.Slices[SI];
-      Union.Vars.insert(Union.Vars.end(), R.Vars.begin(), R.Vars.end());
-      Out.push_back({Prefix + "slice" + std::to_string(SI),
-                     programStr(bp::buildBooleanProgram(Abs, Plan.CFG, D, R))});
-    }
-    Out.push_back({Prefix + "union",
-                   programStr(bp::buildBooleanProgram(Abs, Plan.CFG, D,
-                                                      Union))});
   }
 }
 

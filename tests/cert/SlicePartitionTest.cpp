@@ -1,11 +1,12 @@
 //===----------------------------------------------------------------------===//
 // Tests for SlicePartition certificates: the SCMPIntra engine certifies
-// sliceable methods per-slice and emits one certificate carrying the
-// partition, the per-slice annotations, the must-assigned gate, and (in
-// points-to mode) the whole-program solution. The independent checker
-// must accept every analyzer-produced certificate and reject every
-// tampered one — moved variables, shrunken points-to sets, inflated
-// must-assigned annotations, flipped modes and claims.
+// a method that splits into slices with one partitioned boolean program
+// and emits one certificate carrying the partition, the must-assigned
+// gate, (in points-to mode) the whole-program solution, and the one
+// annotation. The independent checker must accept every
+// analyzer-produced certificate and reject every tampered one — moved
+// variables, shrunken points-to sets, inflated must-assigned
+// annotations, flipped modes and claims.
 //===----------------------------------------------------------------------===//
 
 #include "cert/Checker.h"
@@ -43,9 +44,7 @@ const char *PipelinesClient = R"(
 )";
 
 // Four heap-stashed pipelines: the syntactic gates force a single
-// slice, so only points-to (mode-1) evidence can justify a partition —
-// and four independent pipelines give the partition a projected boolvar
-// reduction big enough to clear the SliceCostModel overhead gate.
+// slice, so only points-to (mode-1) evidence can justify a partition.
 const char *StashedPairsClient = R"(
   class Stash {
     Set s;
@@ -129,17 +128,11 @@ struct SP {
   uint32_t NumCompVars = 0;
   struct DANode {
     bool Covered = false;
+    /// Indices of the set bits of the node's must-assigned bitset.
     std::vector<uint32_t> Must;
   };
   std::vector<DANode> DA;
-  struct Slice {
-    std::vector<std::string> Vars;
-    uint32_t BPVars = 0;
-    uint32_t BPChecks = 0;
-    /// Per node: the tag plus, for tag 1, the stored state bytes.
-    std::vector<std::vector<uint8_t>> Nodes;
-  };
-  std::vector<Slice> Slices;
+  std::vector<std::vector<std::string>> Slices;
   std::vector<std::vector<uint32_t>> Pts; ///< Mode 1 only.
   struct FieldEntry {
     uint32_t Obj = 0;
@@ -147,6 +140,10 @@ struct SP {
     std::vector<uint32_t> Set;
   };
   std::vector<FieldEntry> Fields; ///< Mode 1 only.
+  uint32_t BPVars = 0;
+  uint32_t BPChecks = 0;
+  /// Per node: the tag plus, for tag 1, the stored state bytes.
+  std::vector<std::vector<uint8_t>> Nodes;
 };
 
 SP parseSP(const std::vector<uint8_t> &Payload) {
@@ -161,25 +158,18 @@ SP parseSP(const std::vector<uint8_t> &Payload) {
     if (!R.u8())
       continue;
     S.DA[N].Covered = true;
-    uint32_t K = R.u32();
-    for (uint32_t I = 0; I != K; ++I)
-      S.DA[N].Must.push_back(R.u32());
+    for (uint32_t Byte = 0; Byte * 8 < S.NumCompVars; ++Byte) {
+      const uint8_t Bits = R.u8();
+      for (uint32_t Bit = 0; Bit != 8; ++Bit)
+        if ((Bits >> Bit) & 1)
+          S.DA[N].Must.push_back(Byte * 8 + Bit);
+    }
   }
   S.Slices.resize(R.u32());
-  for (SP::Slice &Sl : S.Slices) {
+  for (std::vector<std::string> &Sl : S.Slices) {
     uint32_t Len = R.u32();
     for (uint32_t I = 0; I != Len; ++I)
-      Sl.Vars.push_back(R.str());
-    Sl.BPVars = R.u32();
-    Sl.BPChecks = R.u32();
-    Sl.Nodes.resize(S.NumNodes);
-    for (uint32_t N = 0; N != S.NumNodes; ++N) {
-      uint8_t Tag = R.u8();
-      Sl.Nodes[N].push_back(Tag);
-      if (Tag == 1)
-        for (uint32_t V = 0; V != Sl.BPVars; ++V)
-          Sl.Nodes[N].push_back(R.u8());
-    }
+      Sl.push_back(R.str());
   }
   if (S.Mode == 1) {
     S.Pts.resize(R.u32());
@@ -197,6 +187,16 @@ SP parseSP(const std::vector<uint8_t> &Payload) {
         F.Set.push_back(R.u32());
     }
   }
+  S.BPVars = R.u32();
+  S.BPChecks = R.u32();
+  S.Nodes.resize(S.NumNodes);
+  for (uint32_t N = 0; N != S.NumNodes; ++N) {
+    uint8_t Tag = R.u8();
+    S.Nodes[N].push_back(Tag);
+    if (Tag == 1)
+      for (uint32_t V = 0; V != S.BPVars; ++V)
+        S.Nodes[N].push_back(R.u8());
+  }
   EXPECT_TRUE(R.done()) << "parseSP did not consume the whole payload";
   return S;
 }
@@ -213,20 +213,17 @@ std::vector<uint8_t> buildSP(const SP &S) {
       continue;
     }
     W.u8(1);
-    W.u32(static_cast<uint32_t>(N.Must.size()));
+    std::vector<uint8_t> Bytes((S.NumCompVars + 7) / 8, 0);
     for (uint32_t V : N.Must)
-      W.u32(V);
+      Bytes[V / 8] |= static_cast<uint8_t>(1u << (V % 8));
+    for (uint8_t B : Bytes)
+      W.u8(B);
   }
   W.u32(static_cast<uint32_t>(S.Slices.size()));
-  for (const SP::Slice &Sl : S.Slices) {
-    W.u32(static_cast<uint32_t>(Sl.Vars.size()));
-    for (const std::string &V : Sl.Vars)
+  for (const std::vector<std::string> &Sl : S.Slices) {
+    W.u32(static_cast<uint32_t>(Sl.size()));
+    for (const std::string &V : Sl)
       W.str(V);
-    W.u32(Sl.BPVars);
-    W.u32(Sl.BPChecks);
-    for (const std::vector<uint8_t> &N : Sl.Nodes)
-      for (uint8_t B : N)
-        W.u8(B);
   }
   if (S.Mode == 1) {
     W.u32(static_cast<uint32_t>(S.Pts.size()));
@@ -244,6 +241,11 @@ std::vector<uint8_t> buildSP(const SP &S) {
         W.u32(O);
     }
   }
+  W.u32(S.BPVars);
+  W.u32(S.BPChecks);
+  for (const std::vector<uint8_t> &N : S.Nodes)
+    for (uint8_t B : N)
+      W.u8(B);
   return W.take();
 }
 
@@ -267,7 +269,7 @@ TEST(SlicePartitionTest, SyntacticSlicesEmitAcceptedMode0Certificate) {
   EXPECT_FALSE(Ru.R.Degraded) << Ru.R.str();
   EXPECT_TRUE(Ru.R.CertStats.Checked);
   const cert::Certificate *C = findPartition(Ru.R);
-  ASSERT_NE(C, nullptr) << "pipelines client did not certify per-slice";
+  ASSERT_NE(C, nullptr) << "pipelines client did not split";
 
   SP S = parseSP(C->Payload);
   EXPECT_EQ(S.Mode, 0u);
@@ -276,7 +278,9 @@ TEST(SlicePartitionTest, SyntacticSlicesEmitAcceptedMode0Certificate) {
 
   cert::CheckResult CR = Ru.checker().check(*C);
   EXPECT_TRUE(CR.Valid) << CR.Reason;
-  EXPECT_GT(Ru.R.Pre.SliceRuns, 1u);
+  // One partitioned program, not one per slice.
+  EXPECT_EQ(Ru.R.Pre.MultiSliceMethods, 1u);
+  EXPECT_EQ(Ru.R.Pre.SliceRuns, 1u);
 }
 
 TEST(SlicePartitionTest, HeapClientNeedsPointsToForAPartition) {
@@ -302,7 +306,8 @@ TEST(SlicePartitionTest, HeapClientNeedsPointsToForAPartition) {
   cert::CheckResult CR = Pt.checker().check(*C);
   EXPECT_TRUE(CR.Valid) << CR.Reason;
 
-  // Both runs agree on every verdict: slicing is verdict-preserving.
+  // Both runs agree on every verdict: the partition is
+  // verdict-preserving.
   ASSERT_EQ(Plain.R.Checks.size(), Pt.R.Checks.size());
   for (size_t I = 0; I != Plain.R.Checks.size(); ++I)
     EXPECT_EQ(Plain.R.Checks[I].Outcome, Pt.R.Checks[I].Outcome) << I;
@@ -334,8 +339,8 @@ TEST(SlicePartitionTamperTest, MovedVariableAcrossSlicesRejected) {
   // Swap s1 and s2 between the slices: each pipeline's set now sits
   // apart from its iterator, splitting a may-interfere group.
   auto Swap = [&](const std::string &A, const std::string &B) {
-    for (SP::Slice &Sl : S.Slices)
-      for (std::string &V : Sl.Vars) {
+    for (std::vector<std::string> &Sl : S.Slices)
+      for (std::string &V : Sl) {
         if (V == A)
           V = B;
         else if (V == B)
@@ -391,10 +396,13 @@ TEST(SlicePartitionTamperTest, OutOfRangeMustAssignedVariableRejected) {
   CertRun Ru = makeRun(PipelinesClient, /*PointsTo=*/false);
   cert::Certificate C = *findPartition(Ru.R);
   SP S = parseSP(C.Payload);
+  // Set a padding bit of the last byte: a variable index past the
+  // method's component variables.
+  ASSERT_NE(S.NumCompVars % 8, 0u);
   bool Poisoned = false;
   for (SP::DANode &N : S.DA)
     if (N.Covered && !N.Must.empty()) {
-      N.Must[0] = 0xfffffff0u;
+      N.Must.push_back(S.NumCompVars);
       Poisoned = true;
       break;
     }

@@ -126,23 +126,6 @@ INSTANTIATE_TEST_SUITE_P(
       return Name;
     });
 
-TEST(ParallelCertifierTest, PlainIntraPathAlsoDeterministic) {
-  // PreAnalysis=false exercises the other SCMPIntra fan-out (per method
-  // instead of per plan).
-  auto Run = [](unsigned Workers) {
-    DiagnosticEngine Diags;
-    CertifierOptions Opts;
-    Opts.Workers = Workers;
-    Opts.PreAnalysis = false;
-    Certifier C(easl::cmpSpecSource(), EngineKind::SCMPIntra, Diags, {},
-                Opts);
-    return C.certifySource(MultiMethodClient, Diags).str();
-  };
-  std::string Serial = Run(1);
-  EXPECT_EQ(Serial, Run(3));
-  EXPECT_EQ(Serial, Run(8));
-}
-
 TEST(ParallelCertifierTest, BudgetExhaustionUnderParallelDegrades) {
   DiagnosticEngine Diags;
   CertifierOptions Opts;

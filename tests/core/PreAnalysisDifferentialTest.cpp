@@ -1,20 +1,29 @@
 //===----------------------------------------------------------------------===//
-// Differential tests for the Stage-0 pre-analysis: with pre-analysis
-// enabled, every CheckVerdict (method, location, text, outcome) must be
-// identical to the pre-analysis-disabled run on every benchmark client,
-// while the boolean programs get smaller. Also covers the definite-
-// violation fallback, the lint on a purpose-built bad client, and the
-// report plumbing.
+// Differential tests for the SCMPIntra engine's one path. Every verdict
+// (method, location, text, outcome, and witness text) must equal what
+// the unpartitioned boolean program yields when it is built, analyzed,
+// and read for witnesses directly — with certificates off, and with
+// certificates emitted and checked. The partitioned build must keep the
+// unpartitioned check list, a Definite kill in one slice must truncate
+// the paths of another, the Stage-0 lint must fire with exact
+// locations, and under --points-to the report must not depend on
+// certificate emission or the store.
 //===----------------------------------------------------------------------===//
 
+#include "boolprog/Witness.h"
 #include "core/Certifier.h"
+#include "dataflow/PointsTo.h"
+#include "dataflow/PreAnalysis.h"
 #include "easl/Builtins.h"
+#include "shard/Corpus.h"
 
 #include "../../bench/Suite.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <unistd.h>
 
 using namespace canvas;
 using namespace canvas::core;
@@ -26,67 +35,198 @@ const EngineKind AllEngines[] = {
     EngineKind::GenericAllocSite, EngineKind::TVLAIndependent,
     EngineKind::TVLARelational};
 
-CertificationReport certifyWith(const char *Source, EngineKind K,
-                                bool PreAnalysis,
-                                const char *SpecSrc = nullptr) {
+CertificationReport certifyWith(const std::string &Source, EngineKind K,
+                                const CertifierOptions &Opts = {}) {
   DiagnosticEngine Diags;
-  CertifierOptions Opts;
-  Opts.PreAnalysis = PreAnalysis;
-  Certifier C(SpecSrc ? SpecSrc : easl::cmpSpecSource(), K, Diags, {}, Opts);
+  Certifier C(easl::cmpSpecSource(), K, Diags, {}, Opts);
   CertificationReport R = C.certifySource(Source, Diags);
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   return R;
 }
 
-void expectIdenticalChecks(const CertificationReport &On,
-                           const CertificationReport &Off,
-                           const std::string &Label) {
-  ASSERT_EQ(On.Checks.size(), Off.Checks.size()) << Label;
-  for (size_t I = 0; I != On.Checks.size(); ++I) {
-    const CheckVerdict &A = On.Checks[I];
-    const CheckVerdict &B = Off.Checks[I];
+/// The verdicts of the unpartitioned boolean program of every method,
+/// built, analyzed and read for witnesses directly.
+std::vector<CheckVerdict> referenceVerdicts(const wp::DerivedAbstraction &Abs,
+                                            const cj::ClientCFG &CFG) {
+  std::vector<CheckVerdict> Out;
+  for (const cj::CFGMethod &M : CFG.Methods) {
+    DiagnosticEngine D;
+    const bp::BooleanProgram BP = bp::buildBooleanProgram(Abs, M, D);
+    const bp::IntraResult R = bp::analyzeIntraproc(BP);
+    std::vector<WitnessTrace> Witnesses;
+    if (R.numFlagged())
+      Witnesses = bp::intraWitnesses(BP, R);
+    for (size_t I = 0; I != BP.Checks.size(); ++I) {
+      CheckVerdict V;
+      V.Method = M.name();
+      V.Loc = BP.Checks[I].Loc;
+      V.What = BP.Checks[I].What;
+      V.Outcome = R.CheckResults[I];
+      if (!Witnesses.empty())
+        V.Witness = std::move(Witnesses[I]);
+      Out.push_back(std::move(V));
+    }
+  }
+  return Out;
+}
+
+void expectSameVerdicts(const std::vector<CheckVerdict> &Got,
+                        const std::vector<CheckVerdict> &Ref,
+                        const std::string &Label) {
+  ASSERT_EQ(Got.size(), Ref.size()) << Label;
+  for (size_t I = 0; I != Got.size(); ++I) {
+    const CheckVerdict &A = Got[I];
+    const CheckVerdict &B = Ref[I];
     EXPECT_EQ(A.Method, B.Method) << Label << " check " << I;
     EXPECT_EQ(A.Loc.Line, B.Loc.Line) << Label << " check " << I;
     EXPECT_EQ(A.Loc.Col, B.Loc.Col) << Label << " check " << I;
     EXPECT_EQ(A.What, B.What) << Label << " check " << I;
     EXPECT_EQ(A.Outcome, B.Outcome) << Label << " check " << I;
+    EXPECT_EQ(A.Witness.str(), B.Witness.str()) << Label << " check " << I;
   }
 }
 
-// Every CMP benchmark client gets the same verdicts from SCMPIntra with
-// the verdict-preserving transformations on as with them off.
-TEST(PreAnalysisDifferentialTest, SCMPIntraVerdictsUnchangedOnSuite) {
-  for (const bench::BenchClient &BC : bench::cmpSuite()) {
-    CertificationReport On = certifyWith(BC.Source, EngineKind::SCMPIntra, true);
-    CertificationReport Off =
-        certifyWith(BC.Source, EngineKind::SCMPIntra, false);
-    EXPECT_TRUE(On.Pre.Enabled) << BC.Name;
-    EXPECT_FALSE(Off.Pre.Enabled) << BC.Name;
-    expectIdenticalChecks(On, Off, BC.Name);
-  }
-}
+/// What one client contributed to a differential run.
+struct DiffStats {
+  unsigned MultiSliceMethods = 0;
+  /// Multi-slice methods with a Definite verdict.
+  unsigned MultiSliceDefinite = 0;
+  size_t PartitionedBoolVars = 0;
+  size_t UnpartitionedBoolVars = 0;
+};
 
-// The other engines only gain the lint stage; their verdicts must be
-// byte-identical too.
-TEST(PreAnalysisDifferentialTest, AllEnginesVerdictsUnchanged) {
-  const char *Representatives[] = {"fig3", "two-collections", "four-pipelines"};
-  for (const bench::BenchClient &BC : bench::cmpSuite()) {
-    bool Selected = false;
-    for (const char *Name : Representatives)
-      Selected |= std::strcmp(BC.Name, Name) == 0;
-    if (!Selected)
-      continue;
-    for (EngineKind K : AllEngines) {
-      CertificationReport On = certifyWith(BC.Source, K, true);
-      CertificationReport Off = certifyWith(BC.Source, K, false);
-      expectIdenticalChecks(On, Off,
-                            std::string(BC.Name) + "/" + engineName(K));
+/// Certifies \p Source with SCMPIntra twice — certificates off, then
+/// emitted and checked — and compares both against the direct
+/// unpartitioned reference. Also compares, for every method that
+/// splits, the partitioned build's check list with the unpartitioned
+/// one in every field except Var.
+DiffStats differential(const std::string &Label, const std::string &Source,
+                       bool PointsTo = false) {
+  DiffStats St;
+  DiagnosticEngine Diags;
+  Certifier C(easl::cmpSpecSource(), EngineKind::SCMPIntra, Diags);
+  cj::Program P = cj::parseProgram(Source, Diags);
+  cj::ClientCFG CFG = cj::buildCFG(P, C.spec(), Diags);
+  EXPECT_FALSE(Diags.hasErrors()) << Label << ": " << Diags.str();
+  const std::vector<CheckVerdict> Ref = referenceVerdicts(C.abstraction(), CFG);
+
+  for (bool Emit : {false, true}) {
+    CertifierOptions Opts;
+    Opts.Workers = 1;
+    Opts.PointsTo = PointsTo;
+    Opts.EmitCertificates = Emit;
+    Opts.CheckCertificates = Emit;
+    const std::string Mode = Label + (Emit ? " [certificates]" : "");
+    CertificationReport R = certifyWith(Source, EngineKind::SCMPIntra, Opts);
+    EXPECT_FALSE(R.Degraded) << Mode << "\n" << R.str();
+    EXPECT_EQ(R.PointsTo.PrunedMethods, 0u) << Mode;
+    EXPECT_EQ(R.Pre.SliceRuns, CFG.Methods.size()) << Mode;
+    expectSameVerdicts(R.Checks, Ref, Mode);
+    if (!Emit) {
+      St.MultiSliceMethods = R.Pre.MultiSliceMethods;
+      St.PartitionedBoolVars = R.BoolVars;
     }
   }
+
+  dataflow::PreAnalysisOptions PreOpts;
+  dataflow::PointsToResult PT;
+  if (PointsTo) {
+    PT = dataflow::analyzePointsTo(P, C.spec());
+    PreOpts.PointsTo = &PT;
+  }
+  dataflow::PreAnalysisResult PA =
+      dataflow::preAnalyze(CFG, C.abstraction(), PreOpts);
+  for (const dataflow::MethodPlan &Plan : PA.Plans) {
+    DiagnosticEngine D;
+    const cj::CFGMethod &M = *Plan.Source;
+    const bp::BooleanProgram Whole =
+        bp::buildBooleanProgram(C.abstraction(), M, D);
+    St.UnpartitionedBoolVars += Whole.Vars.size();
+    if (!Plan.multiSlice())
+      continue;
+    for (const CheckVerdict &V : Ref)
+      if (V.Method == M.name() && V.Outcome == CheckOutcome::Definite) {
+        ++St.MultiSliceDefinite;
+        break;
+      }
+    const bp::BooleanProgram Parts =
+        bp::buildBooleanProgram(C.abstraction(), M, D, Plan.Slices);
+    EXPECT_LT(Parts.Vars.size(), Whole.Vars.size()) << Label << " " << M.name();
+    if (Parts.Checks.size() != Whole.Checks.size()) {
+      ADD_FAILURE() << Label << " " << M.name() << ": "
+                    << Parts.Checks.size() << " partitioned check(s), "
+                    << Whole.Checks.size() << " unpartitioned";
+      continue;
+    }
+    for (size_t I = 0; I != Parts.Checks.size(); ++I) {
+      const bp::Check &A = Parts.Checks[I];
+      const bp::Check &B = Whole.Checks[I];
+      const std::string At = Label + " " + M.name() + " check " +
+                             std::to_string(I);
+      EXPECT_EQ(A.Edge, B.Edge) << At;
+      EXPECT_EQ(A.ConstantViolated, B.ConstantViolated) << At;
+      EXPECT_EQ(A.Loc.str(), B.Loc.str()) << At;
+      EXPECT_EQ(A.ReqLoc.str(), B.ReqLoc.str()) << At;
+      EXPECT_EQ(A.What, B.What) << At;
+    }
+  }
+  return St;
 }
 
-// The multi-slice client really gets sliced, and slicing shrinks the
-// boolean programs.
+// Every suite client and every alias-suite client (with and without
+// points-to, which is what splits the alias clients) gets the
+// unpartitioned program's verdicts and witnesses.
+TEST(PreAnalysisDifferentialTest, SCMPIntraVerdictsUnchangedOnSuite) {
+  unsigned MultiSlice = 0;
+  for (const bench::BenchClient &BC : bench::cmpSuite())
+    MultiSlice += differential(BC.Name, BC.Source).MultiSliceMethods;
+  for (const bench::BenchClient &BC : bench::aliasSuite()) {
+    differential(BC.Name, BC.Source);
+    MultiSlice += differential(std::string(BC.Name) + " [points-to]",
+                               BC.Source, /*PointsTo=*/true)
+                      .MultiSliceMethods;
+  }
+  EXPECT_GE(MultiSlice, 3u);
+}
+
+// The first 60 clients of corpus seeds 7 and 1.
+TEST(PreAnalysisDifferentialTest, CorpusVerdictsMatchUnpartitionedReference) {
+  unsigned MultiSliceDefinite = 0;
+  for (unsigned Seed : {7u, 1u}) {
+    const std::string Dir = ::testing::TempDir() + "/preanalysis-diff-" +
+                            std::to_string(::getpid()) + "-" +
+                            std::to_string(Seed);
+    std::string Error;
+    std::vector<shard::CorpusClient> Corpus;
+    ASSERT_TRUE(shard::generateCorpus(Dir, 60, Seed, Error)) << Error;
+    ASSERT_TRUE(shard::loadCorpus(Dir, Corpus, Error)) << Error;
+    std::filesystem::remove_all(Dir);
+    for (const shard::CorpusClient &Client : Corpus) {
+      MultiSliceDefinite +=
+          differential("seed " + std::to_string(Seed) + " " + Client.Name,
+                       Client.Source)
+              .MultiSliceDefinite;
+    }
+  }
+  // Definite kills inside partitioned programs are exercised, not
+  // just possible.
+  EXPECT_GT(MultiSliceDefinite, 0u);
+}
+
+// K independent pipelines of M iterators split into K slices.
+TEST(PreAnalysisDifferentialTest, PipelineClientsMatchReference) {
+  const std::pair<unsigned, unsigned> Shapes[] = {{2, 2}, {4, 4}, {8, 4}};
+  for (const auto &[K, M] : Shapes) {
+    const std::string Label =
+        "pipelines " + std::to_string(K) + "x" + std::to_string(M);
+    DiffStats St = differential(Label, bench::pipelinesClient(K, M));
+    EXPECT_EQ(St.MultiSliceMethods, 1u) << Label;
+    EXPECT_LT(St.PartitionedBoolVars, St.UnpartitionedBoolVars) << Label;
+  }
+}
+
+// The multi-slice suite client really splits, one boolean program per
+// method is analyzed, and the partitioned program is smaller.
 TEST(PreAnalysisDifferentialTest, FourPipelinesSlicesAndShrinks) {
   const bench::BenchClient *Four = nullptr;
   for (const bench::BenchClient &BC : bench::cmpSuite())
@@ -94,22 +234,15 @@ TEST(PreAnalysisDifferentialTest, FourPipelinesSlicesAndShrinks) {
       Four = &BC;
   ASSERT_NE(Four, nullptr);
 
-  CertificationReport On = certifyWith(Four->Source, EngineKind::SCMPIntra, true);
-  CertificationReport Off =
-      certifyWith(Four->Source, EngineKind::SCMPIntra, false);
-  EXPECT_GE(On.Pre.MultiSliceMethods, 1u);
-  EXPECT_GE(On.Pre.SliceRuns, 4u);
-  EXPECT_EQ(On.Pre.FallbackMethods, 0u);
-  // The largest per-run boolean program is strictly smaller than the
-  // whole-method program, and so is the summed size.
-  EXPECT_LT(On.MaxBoolVars, Off.MaxBoolVars);
-  EXPECT_LT(On.BoolVars, Off.BoolVars);
-  expectIdenticalChecks(On, Off, "four-pipelines");
+  DiffStats St = differential(Four->Name, Four->Source);
+  EXPECT_GE(St.MultiSliceMethods, 1u);
+  EXPECT_LT(St.PartitionedBoolVars, St.UnpartitionedBoolVars);
 }
 
-// A definite violation inside one slice triggers the unsliced rerun and
-// still reports identical verdicts (including the Definite outcome).
-TEST(PreAnalysisDifferentialTest, DefiniteViolationFallsBackUnsliced) {
+// A definite violation in one slice kills the continuing edge for every
+// slice: the other pipeline's later check is unreachable, exactly as in
+// the unpartitioned program.
+TEST(PreAnalysisDifferentialTest, DefiniteKillInOneSliceTruncatesAnother) {
   const char *Source = R"(
     class Bad {
       void main() {
@@ -123,18 +256,21 @@ TEST(PreAnalysisDifferentialTest, DefiniteViolationFallsBackUnsliced) {
       }
     }
   )";
-  CertificationReport On = certifyWith(Source, EngineKind::SCMPIntra, true);
-  CertificationReport Off = certifyWith(Source, EngineKind::SCMPIntra, false);
-  EXPECT_EQ(On.Pre.FallbackMethods, 1u);
-  bool SawDefinite = false;
-  for (const CheckVerdict &V : On.Checks)
-    SawDefinite |= V.Outcome == bp::CheckOutcome::Definite;
-  EXPECT_TRUE(SawDefinite);
-  expectIdenticalChecks(On, Off, "definite-fallback");
+  DiffStats St = differential("definite-kill", Source);
+  EXPECT_EQ(St.MultiSliceDefinite, 1u);
+  CertificationReport R = certifyWith(Source, EngineKind::SCMPIntra);
+  bool SawDefinite = false, SawTruncated = false;
+  for (const CheckVerdict &V : R.Checks) {
+    SawDefinite |= V.Outcome == CheckOutcome::Definite;
+    SawTruncated |= V.What.rfind("j.next()", 0) == 0 &&
+                    V.Outcome == CheckOutcome::Unreachable;
+  }
+  EXPECT_TRUE(SawDefinite) << R.str();
+  EXPECT_TRUE(SawTruncated) << R.str();
 }
 
-// Checks on pruned (statically unreachable) edges keep their slots in
-// the report with an Unreachable outcome.
+// Checks on statically unreachable edges keep their slots in the report
+// with an Unreachable outcome.
 TEST(PreAnalysisDifferentialTest, PrunedChecksStayInReport) {
   const char *Source = R"(
     class Dead {
@@ -148,14 +284,36 @@ TEST(PreAnalysisDifferentialTest, PrunedChecksStayInReport) {
       }
     }
   )";
-  CertificationReport On = certifyWith(Source, EngineKind::SCMPIntra, true);
-  CertificationReport Off = certifyWith(Source, EngineKind::SCMPIntra, false);
-  EXPECT_GT(On.Pre.EdgesPruned, 0u);
-  expectIdenticalChecks(On, Off, "pruned-tail");
+  differential("dead-tail", Source);
+  CertificationReport R = certifyWith(Source, EngineKind::SCMPIntra);
   bool SawUnreachable = false;
-  for (const CheckVerdict &V : On.Checks)
-    SawUnreachable |= V.Outcome == bp::CheckOutcome::Unreachable;
+  for (const CheckVerdict &V : R.Checks)
+    SawUnreachable |= V.Outcome == CheckOutcome::Unreachable;
   EXPECT_TRUE(SawUnreachable);
+}
+
+// No engine's report depends on whether certificates are emitted.
+// (Checking is left to the engines' own suites: a tvla-independent
+// certificate for four-pipelines is rejected by the checker, a known
+// checker defect listed in ROADMAP.md, and the checked run degrades.)
+TEST(PreAnalysisDifferentialTest, AllEnginesVerdictsUnchanged) {
+  const char *Representatives[] = {"fig3", "two-collections", "four-pipelines"};
+  for (const bench::BenchClient &BC : bench::cmpSuite()) {
+    bool Selected = false;
+    for (const char *Name : Representatives)
+      Selected |= std::strcmp(BC.Name, Name) == 0;
+    if (!Selected)
+      continue;
+    CertifierOptions Emit;
+    Emit.EmitCertificates = true;
+    for (EngineKind K : AllEngines) {
+      CertificationReport Plain = certifyWith(BC.Source, K);
+      CertificationReport WithCerts = certifyWith(BC.Source, K, Emit);
+      EXPECT_GT(WithCerts.CertStats.Count, 0u) << BC.Name;
+      EXPECT_EQ(Plain.str(), WithCerts.str())
+          << BC.Name << "/" << engineName(K);
+    }
+  }
 }
 
 // The Stage-0 lint fires on a purpose-built bad client with the exact
@@ -174,7 +332,7 @@ TEST(PreAnalysisDifferentialTest, LintFlagsUninitializedReceiver) {
   // i.next() is on source line 7 of the raw string above.
   unsigned UseLine = 7;
   for (EngineKind K : AllEngines) {
-    CertificationReport R = certifyWith(Source, K, true);
+    CertificationReport R = certifyWith(Source, K);
     ASSERT_EQ(R.Lints.size(), 1u) << engineName(K);
     EXPECT_EQ(R.Lints[0].Var, "i") << engineName(K);
     EXPECT_EQ(R.Lints[0].Loc.Line, UseLine) << engineName(K);
@@ -183,40 +341,52 @@ TEST(PreAnalysisDifferentialTest, LintFlagsUninitializedReceiver) {
               std::string::npos)
         << engineName(K);
     EXPECT_NE(R.str().find("warning"), std::string::npos) << engineName(K);
-
-    CertificationReport Off = certifyWith(Source, K, false);
-    EXPECT_TRUE(Off.Lints.empty()) << engineName(K);
   }
 }
 
 // Clean clients produce no lints and the report string has no warnings.
 TEST(PreAnalysisDifferentialTest, CleanClientHasNoLints) {
   for (const bench::BenchClient &BC : bench::cmpSuite()) {
-    CertificationReport R = certifyWith(BC.Source, EngineKind::SCMPIntra, true);
+    CertificationReport R = certifyWith(BC.Source, EngineKind::SCMPIntra);
     EXPECT_TRUE(R.Lints.empty()) << BC.Name;
     EXPECT_EQ(R.str().find("warning"), std::string::npos) << BC.Name;
   }
 }
 
-// Dead component stores are removed and the dropped variables shrink B,
-// without changing any verdict.
-TEST(PreAnalysisDifferentialTest, DeadStoreEliminationShrinksB) {
-  const char *Source = R"(
-    class Dse {
-      void main() {
-        Set s = new Set();
-        Iterator i = s.iterator();
-        Iterator unused = i;
-        i.next();
-      }
-    }
-  )";
-  CertificationReport On = certifyWith(Source, EngineKind::SCMPIntra, true);
-  CertificationReport Off = certifyWith(Source, EngineKind::SCMPIntra, false);
-  EXPECT_GE(On.Pre.DeadStoresRemoved, 1u);
-  EXPECT_GE(On.Pre.VarsDropped, 1u);
-  EXPECT_LT(On.BoolVars, Off.BoolVars);
-  expectIdenticalChecks(On, Off, "dse");
+// Under --points-to the report, "slicing:" lines included, is the same
+// storeless, with certificates emitted and checked, against a cold
+// store, and against a warm one.
+TEST(PointsToReportTest, IdenticalAcrossCertificateAndStoreModes) {
+  for (const bench::BenchClient &BC : bench::aliasSuite()) {
+    const std::string Store = ::testing::TempDir() + "/pt-report-" +
+                              std::to_string(::getpid()) + "-" + BC.Name;
+    std::filesystem::remove_all(Store);
+    CertifierOptions Plain;
+    Plain.PointsTo = true;
+    CertifierOptions Checked = Plain;
+    Checked.EmitCertificates = true;
+    Checked.CheckCertificates = true;
+    CertifierOptions Stored = Plain;
+    Stored.StorePath = Store;
+
+    const std::string Ref =
+        certifyWith(BC.Source, EngineKind::SCMPIntra, Plain).str();
+    EXPECT_NE(Ref.find("slice(s)"), std::string::npos) << BC.Name << "\n"
+                                                        << Ref;
+    EXPECT_EQ(certifyWith(BC.Source, EngineKind::SCMPIntra, Checked).str(),
+              Ref)
+        << BC.Name << " [certificates]";
+    CertificationReport Cold =
+        certifyWith(BC.Source, EngineKind::SCMPIntra, Stored);
+    EXPECT_EQ(Cold.str(), Ref) << BC.Name << " [cold store]";
+    CertificationReport Warm =
+        certifyWith(BC.Source, EngineKind::SCMPIntra, Stored);
+    EXPECT_EQ(Warm.str(), Ref) << BC.Name << " [warm store]";
+    EXPECT_GT(Warm.Store.Hits, 0u) << BC.Name;
+    EXPECT_EQ(Warm.Store.Misses, 0u) << BC.Name;
+    EXPECT_TRUE(Warm.Store.Incidents.empty()) << BC.Name;
+    std::filesystem::remove_all(Store);
+  }
 }
 
 } // namespace

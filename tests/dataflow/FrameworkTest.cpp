@@ -91,39 +91,6 @@ TEST(CFGInfoTest, CodeAfterReturnIsUnreachable) {
   EXPECT_TRUE(Info.reachable(M.Exit));
 }
 
-TEST(PruneTest, RemovesOnlyUnreachableEdges) {
-  Client C(DeadTailClient);
-  cj::CFGMethod M = C.method("C", "main"); // Working copy.
-  size_t EdgesBefore = M.Edges.size();
-
-  // The dead tail contains the s.add() call.
-  bool HadDeadCall = false;
-  CFGInfo Before(M);
-  for (const cj::CFGEdge &E : M.Edges)
-    if (E.Act.K == cj::Action::Kind::CompCall && !Before.reachable(E.From))
-      HadDeadCall = true;
-  ASSERT_TRUE(HadDeadCall);
-
-  std::vector<int> OrigEdgeIndex;
-  PruneStats Stats = pruneUnreachableEdges(M, OrigEdgeIndex);
-  EXPECT_GT(Stats.EdgesRemoved, 0u);
-  EXPECT_GT(Stats.NodesUnreachable, 0u);
-  EXPECT_EQ(M.Edges.size() + Stats.EdgesRemoved, EdgesBefore);
-  ASSERT_EQ(OrigEdgeIndex.size(), M.Edges.size());
-
-  // The mapping is strictly increasing and every survivor is reachable.
-  CFGInfo After(M);
-  for (size_t E = 0; E != M.Edges.size(); ++E) {
-    if (E) {
-      EXPECT_LT(OrigEdgeIndex[E - 1], OrigEdgeIndex[E]);
-    }
-    EXPECT_TRUE(After.reachable(M.Edges[E].From));
-  }
-  // The dead s.add() call did not survive.
-  for (const cj::CFGEdge &E : M.Edges)
-    EXPECT_NE(E.Act.Callee, "add");
-}
-
 TEST(SolverTest, ForwardDistanceOnDiamond) {
   Client C(DiamondClient);
   const cj::CFGMethod &M = C.method("C", "main");

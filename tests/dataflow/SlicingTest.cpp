@@ -6,7 +6,6 @@
 
 #include "dataflow/Slicing.h"
 
-#include "dataflow/Liveness.h"
 #include "dataflow/PointsTo.h"
 
 #include "ClientHelper.h"
@@ -19,20 +18,19 @@ using canvas::dftest::Client;
 
 namespace {
 
-/// Runs liveness + DSE to get the retained set, then slices it.
+/// Slices every component variable of one method.
 struct SliceRun {
   cj::CFGMethod M;
-  std::vector<std::string> Retained;
+  std::vector<std::string> Vars;
   SliceResult R;
 
   SliceRun(Client &C, const char *ClassName, const char *MethodName,
            bool HasUninitUses = false, bool AbsReadsRetSources = false,
            const MethodAliasInfo *Alias = nullptr)
       : M(C.method(ClassName, MethodName)) {
-    CFGInfo Info(M);
-    LivenessResult L = analyzeLiveness(M, Info, false);
-    eliminateDeadStores(M, L, false, Retained);
-    R = computeSlices(M, Retained, HasUninitUses, AbsReadsRetSources, Alias);
+    for (const auto &NameAndType : M.CompVars)
+      Vars.push_back(NameAndType.first);
+    R = computeSlices(M, Vars, HasUninitUses, AbsReadsRetSources, Alias);
   }
 
   /// Index of the slice containing \p V, or -1.
@@ -241,8 +239,8 @@ TEST(SlicingTest, EveryForceOffGateReportsItsReason) {
     EXPECT_NE(std::string(S.R.ForcedSingleReason).find(G.ReasonFragment),
               std::string::npos)
         << G.Name << ": " << S.R.ForcedSingleReason;
-    // Forced-off still covers every retained variable.
-    EXPECT_EQ(S.R.Slices[0].size(), S.Retained.size()) << G.Name;
+    // Forced-off still covers every variable.
+    EXPECT_EQ(S.R.Slices[0].size(), S.Vars.size()) << G.Name;
   }
 }
 
@@ -250,16 +248,6 @@ TEST(SlicingTest, EveryForceOffGateReportsItsReason) {
 // The "$ret" merge: the return slot joins the parameter group exactly
 // when some edge assigns it.
 //===----------------------------------------------------------------------===//
-
-// Slices the method over ALL its component variables (no dead-store
-// elimination first) — a never-read "$ret" would otherwise be dropped
-// from the retained set before computeSlices sees it.
-SliceResult sliceAllVars(const cj::CFGMethod &M) {
-  std::vector<std::string> Retained;
-  for (const auto &[Name, Type] : M.CompVars)
-    Retained.push_back(Name);
-  return computeSlices(M, Retained, false, false, nullptr);
-}
 
 int sliceIn(const SliceResult &R, const char *V) {
   for (size_t S = 0; S != R.Slices.size(); ++S)
@@ -279,8 +267,7 @@ TEST(SlicingTest, ReturnSlotJoinsParamsWhenAssigned) {
       }
     }
   )");
-  cj::CFGMethod M = C.method("C", "pick");
-  SliceResult R = sliceAllVars(M);
+  SliceResult R = SliceRun(C, "C", "pick").R;
   ASSERT_EQ(R.Slices.size(), 1u);
   EXPECT_EQ(sliceIn(R, "$ret"), sliceIn(R, "s"));
 }
@@ -298,8 +285,7 @@ TEST(SlicingTest, UnassignedReturnSlotStaysApartFromParams) {
       }
     }
   )");
-  cj::CFGMethod M = C.method("C", "sink");
-  SliceResult R = sliceAllVars(M);
+  SliceResult R = SliceRun(C, "C", "sink").R;
   ASSERT_NE(sliceIn(R, "$ret"), -1);
   EXPECT_NE(sliceIn(R, "$ret"), sliceIn(R, "s"));
   EXPECT_EQ(sliceIn(R, "s"), sliceIn(R, "t")); // Params still co-slice.
@@ -374,107 +360,6 @@ TEST(SlicingTest, UninitGateSurvivesAliasRefinement) {
             std::string::npos);
 }
 
-//===----------------------------------------------------------------------===//
-// SliceCostModel: the acceptance gate on alias-refined partitions.
-//===----------------------------------------------------------------------===//
-
-/// The cmp spec's instrumentation families: stale(Iterator),
-/// mutx(Iterator, Iterator), same(Iterator, Set).
-SliceCostModel cmpCostModel() {
-  SliceCostModel Cost;
-  Cost.FamilySlotTypes = {
-      {"Iterator"}, {"Iterator", "Iterator"}, {"Iterator", "Set"}};
-  return Cost;
-}
-
-TEST(SlicingTest, CostModelProjectsBoolVarCounts) {
-  SliceCostModel Cost = cmpCostModel();
-  // One pipeline: 1 stale + 0 mutx (diagonal folds) + 1 same.
-  EXPECT_EQ(Cost.projectedBoolVars({{"s", "Set"}, {"i", "Iterator"}}), 2.0);
-  // Four pipelines: 4 stale + 4·3 mutx + 4·4 same.
-  std::vector<std::pair<std::string, std::string>> Four;
-  for (int K = 0; K != 4; ++K) {
-    Four.push_back({"s" + std::to_string(K), "Set"});
-    Four.push_back({"i" + std::to_string(K), "Iterator"});
-  }
-  EXPECT_EQ(Cost.projectedBoolVars(Four), 32.0);
-  // Unknown types and wider families contribute nothing.
-  Cost.FamilySlotTypes.push_back({"A", "B", "C"});
-  EXPECT_EQ(Cost.projectedBoolVars({{"x", "Widget"}}), 0.0);
-}
-
-TEST(SlicingTest, CostGateRefusesSmallAliasPartition) {
-  // Two 2-variable pipelines: the partition is sound, but the projected
-  // reduction (8² − 2·2² = 56) is below one extra slice's overhead.
-  Client C(HeapStoreClient);
-  PointsToResult PT = analyzePointsTo(C.Prog, C.Spec);
-  const MethodAliasInfo *A = PT.aliasFor("C::main");
-  ASSERT_NE(A, nullptr);
-  cj::CFGMethod M = C.method("C", "main");
-  CFGInfo Info(M);
-  LivenessResult L = analyzeLiveness(M, Info, false);
-  std::vector<std::string> Retained;
-  eliminateDeadStores(M, L, false, Retained);
-
-  SliceCostModel Cost = cmpCostModel();
-  SliceResult R = computeSlices(M, Retained, false, false, A, &Cost);
-  ASSERT_EQ(R.Slices.size(), 1u);
-  ASSERT_NE(R.ForcedSingleReason, nullptr);
-  EXPECT_NE(std::string(R.ForcedSingleReason).find("overhead"),
-            std::string::npos);
-
-  // Without the cost model the same partition is accepted.
-  SliceResult Ungated = computeSlices(M, Retained, false, false, A);
-  EXPECT_EQ(Ungated.Slices.size(), 2u);
-}
-
-TEST(SlicingTest, CostGateAcceptsLargeAliasPartition) {
-  // Four 2-variable pipelines: 32² − 4·2² = 1008 ≥ 3·256 clears the
-  // gate, so the partition survives with the cost model attached.
-  Client C(R"(
-    class Holder {
-      Set s;
-    }
-    class C {
-      void main() {
-        Holder h1 = new Holder();
-        Holder h2 = new Holder();
-        Holder h3 = new Holder();
-        Holder h4 = new Holder();
-        Set a = new Set();
-        Set b = new Set();
-        Set c = new Set();
-        Set d = new Set();
-        h1.s = a;
-        h2.s = b;
-        h3.s = c;
-        h4.s = d;
-        Iterator i = a.iterator();
-        Iterator j = b.iterator();
-        Iterator k = c.iterator();
-        Iterator l = d.iterator();
-        i.next();
-        j.next();
-        k.next();
-        l.next();
-      }
-    }
-  )");
-  PointsToResult PT = analyzePointsTo(C.Prog, C.Spec);
-  const MethodAliasInfo *A = PT.aliasFor("C::main");
-  ASSERT_NE(A, nullptr);
-  cj::CFGMethod M = C.method("C", "main");
-  CFGInfo Info(M);
-  LivenessResult L = analyzeLiveness(M, Info, false);
-  std::vector<std::string> Retained;
-  eliminateDeadStores(M, L, false, Retained);
-
-  SliceCostModel Cost = cmpCostModel();
-  SliceResult R = computeSlices(M, Retained, false, false, A, &Cost);
-  EXPECT_EQ(R.ForcedSingleReason, nullptr);
-  EXPECT_EQ(R.Slices.size(), 4u);
-}
-
 TEST(SlicingTest, EmptyRetainedYieldsNoSlices) {
   Client C(R"(
     class C {
@@ -482,7 +367,7 @@ TEST(SlicingTest, EmptyRetainedYieldsNoSlices) {
     }
   )");
   SliceRun S(C, "C", "main");
-  EXPECT_TRUE(S.Retained.empty());
+  EXPECT_TRUE(S.Vars.empty());
   EXPECT_TRUE(S.R.Slices.empty());
 }
 

@@ -2,7 +2,8 @@
 #
 # Captures the TVLA benchmark lines into BENCH_tvla.json: builds the
 # default preset, runs the two bench drivers that print
-# "BENCH_JSON {...}" lines for the relational TVLA engine, and appends
+# "BENCH_JSON {...}" lines for the relational TVLA engine (and the
+# partitioned-vs-unpartitioned SCMP pipelines series), and appends
 # each line (tagged with a caller-supplied label) to the JSON-lines
 # file at the repo root. Also captures the persistent certificate
 # store's hit-rate lines (a cold run that fills the store followed by a
@@ -34,11 +35,12 @@ cmake --build --preset default -j "$JOBS" \
   canvas_shard >/dev/null
 
 capture() {
-  # Keep only the driver's TVLA JSON payloads; drop the
-  # google-benchmark tables ("--benchmark_filter=NONE" skips the
-  # registered benchmarks) and the non-TVLA BENCH_JSON lines.
+  # Keep only the driver's TVLA JSON payloads and the SCMP pipelines
+  # series; drop the google-benchmark tables ("--benchmark_filter=NONE"
+  # skips the registered benchmarks) and the other BENCH_JSON lines.
   "$1" --benchmark_filter=NONE 2>/dev/null |
-    sed -n 's/^BENCH_JSON //p' | grep '"bench":"tvla' || true
+    sed -n 's/^BENCH_JSON //p' | grep -E '"bench":"(tvla|scmp-pipelines)' ||
+    true
 }
 
 # Store hit rate: a cold certify fills the store, the warm rerun must

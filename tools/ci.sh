@@ -40,7 +40,7 @@ step "asan: tvla / boolprog / cert suites (arena + packed-word paths)"
 # tests) as a named ASan pass so a use-after-reset or overflow in the
 # packed codecs is called out here, not buried in the full suite.
 run_ctest --preset sanitize -j "$JOBS" \
-  -R 'Arena|StateVec|Structure|TVLA|Intraprocedural|Interprocedural|Witness|Cert|Checker|SlicePartition|BuildGolden|CorpusWitness'
+  -R 'Arena|StateVec|Structure|TVLA|Intraprocedural|Interprocedural|Witness|Cert|Checker|SlicePartition|BuildGolden|CorpusWitness|PreAnalysisDifferential|PointsToReport'
 
 step "perfbench package: build + helper tests"
 # perfbench/ is a CMake package of its own (it builds ../src with the
@@ -112,7 +112,7 @@ step "ubsan: certificate and engine suites"
 # cert suite plus every engine suite under UBSan alone (no ASan
 # interposition), so integer/shift/bounds UB surfaces directly.
 run_ctest --preset ubsan -j "$JOBS" \
-  -R 'Cert|Checker|Boolprog|Intraprocedural|Interprocedural|Ifds|Solver|TVLA|Structure|Baseline|Certifier|Store|CrashRecovery|InputHash|BuildGolden|CorpusWitness'
+  -R 'Cert|Checker|Intraprocedural|Interprocedural|Ifds|Solver|TVLA|Structure|Baseline|Certifier|Store|CrashRecovery|InputHash|BuildGolden|CorpusWitness|PreAnalysisDifferential|PointsToReport'
 
 step "store crash-recovery suite (sanitize)"
 # The persistent-store suite injects a crash (exception and torn short
