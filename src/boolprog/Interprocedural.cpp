@@ -51,6 +51,8 @@ struct MethodInfo {
   /// Ghost variable names per component type (two each).
   std::map<std::string, std::array<std::string, 2>> Ghosts;
   std::vector<EdgeFlow> Flows;
+  /// Per edge, the checked variables refined to 0 past their check.
+  std::vector<std::vector<char>> Kills;
 };
 
 /// Caller-to-callee renaming of one variable tuple: actuals become
@@ -109,8 +111,11 @@ public:
   void flowNormal(int P, int Edge, int Fact,
                   std::vector<int> &Out) const override {
     // Covers plain edges and ClientCall edges with an unknown callee,
-    // whose boolean-program lowering is a clobber of every fact.
-    applyEdgeFlow(Infos[P].Flows[Edge], Fact, nullptr, Out);
+    // whose boolean-program lowering is a clobber of every fact. A
+    // checked variable dies past its check, as in the intraprocedural
+    // fixpoint: reaching the next node means the check passed.
+    const std::vector<char> &K = Infos[P].Kills[Edge];
+    applyEdgeFlow(Infos[P].Flows[Edge], Fact, K.empty() ? nullptr : &K, Out);
   }
 
   void flowCall(int P, int Edge, int Fact,
@@ -239,6 +244,7 @@ void InterprocProblem::build(const cj::ClientCFG &CFG,
   for (MethodInfo &Info : Infos) {
     Info.BP = buildBooleanProgram(Abs, Info.Ext, Diags);
     Info.Flows = computeEdgeFlows(Info.BP);
+    Info.Kills = checkKills(Info.BP);
   }
 
   Views.resize(Infos.size());

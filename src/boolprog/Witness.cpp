@@ -36,6 +36,17 @@ std::vector<EdgeFlow> bp::computeEdgeFlows(const BooleanProgram &BP) {
   return Flows;
 }
 
+std::vector<std::vector<char>> bp::checkKills(const BooleanProgram &BP) {
+  std::vector<std::vector<char>> Kills(BP.CFG->Edges.size());
+  for (const Check &C : BP.Checks)
+    if (C.Var >= 0) {
+      if (Kills[C.Edge].empty())
+        Kills[C.Edge].assign(BP.Vars.size(), 0);
+      Kills[C.Edge][C.Var] = 1;
+    }
+  return Kills;
+}
+
 void bp::applyEdgeFlow(const EdgeFlow &Flow, int Fact,
                        const std::vector<char> *Kills,
                        std::vector<int> &Out) {
@@ -145,7 +156,7 @@ std::vector<core::WitnessTrace> bp::intraWitnesses(const BooleanProgram &BP,
   const EdgeTransfer Transfer(BP);
   const std::vector<EdgeFlow> Flows = computeEdgeFlows(BP);
   std::vector<std::vector<int>> LiveOut(M.NumNodes);
-  std::vector<std::vector<char>> Kills(M.Edges.size());
+  const std::vector<std::vector<char>> Kills = checkKills(BP);
   StateVec Scratch;
   for (size_t E = 0; E != M.Edges.size(); ++E) {
     const int From = M.Edges[E].From;
@@ -153,12 +164,6 @@ std::vector<core::WitnessTrace> bp::intraWitnesses(const BooleanProgram &BP,
         Transfer.apply(static_cast<int>(E), R.In[From], Scratch))
       LiveOut[From].push_back(static_cast<int>(E));
   }
-  for (const Check &C : BP.Checks)
-    if (C.Var >= 0) {
-      if (Kills[C.Edge].empty())
-        Kills[C.Edge].assign(BP.Vars.size(), 0);
-      Kills[C.Edge][C.Var] = 1;
-    }
 
   // Breadth-first from every entry fact; Pred links give shortest
   // paths. Unseen = -2, seed = -1.

@@ -39,9 +39,14 @@ struct EdgeFlow {
 
 std::vector<EdgeFlow> computeEdgeFlows(const BooleanProgram &BP);
 
+/// Per edge, the variables a requires check on that edge refines to 0
+/// past the check (the assume-refinement); empty for an edge without a
+/// checked variable.
+std::vector<std::vector<char>> checkKills(const BooleanProgram &BP);
+
 /// Applies \p Flow to input fact \p Fact (with Lambda always
 /// surviving); \p Kills marks variables refined to 0 across the edge
-/// (requires-check kills; null for the interprocedural reading).
+/// (one row of checkKills, or null for none).
 void applyEdgeFlow(const EdgeFlow &Flow, int Fact,
                    const std::vector<char> *Kills, std::vector<int> &Out);
 

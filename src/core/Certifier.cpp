@@ -21,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <optional>
 
 using namespace canvas;
 using namespace canvas::core;
@@ -126,6 +127,14 @@ struct PointsToCache {
                         ///< the report's "points-to:" line is
                         ///< byte-identical to the cold run.
 };
+
+struct StoreCache {
+  std::mutex Mu;
+  std::unique_ptr<store::CertStore> Store;
+  /// The store context fingerprint: fixed per certifier, so computed
+  /// at the first call with a store (0 until then).
+  uint64_t Context = 0;
+};
 } // namespace detail
 } // namespace core
 } // namespace canvas
@@ -135,7 +144,8 @@ Certifier::Certifier(std::string_view SpecSource, EngineKind Engine,
                      const wp::DerivationOptions &DOpts,
                      const CertifierOptions &Opts)
     : Engine(Engine), Opts(Opts),
-      PTCache(std::make_shared<detail::PointsToCache>()) {
+      PTCache(std::make_shared<detail::PointsToCache>()),
+      SCache(std::make_shared<detail::StoreCache>()) {
   // Hashed before parsing so the store key covers the spec exactly as
   // written: any textual edit invalidates every derived entry.
   SpecHash = cert::fnv1a(reinterpret_cast<const uint8_t *>(SpecSource.data()),
@@ -294,10 +304,64 @@ bool validateStoreEntry(const store::StoreEntry &E, EngineKind Engine,
   return true;
 }
 
+/// Exclusive use of the certifier's shared store for one stretch of a
+/// certify() call: what the store quarantines, skips or reports
+/// meanwhile is booked on that call's report when the use ends, so the
+/// report's counters are per call although the store outlives it.
+class StoreUse {
+public:
+  StoreUse(detail::StoreCache &C, store::StoreReport &R)
+      : Lock(C.Mu), C(C), R(R) {
+    if (C.Store)
+      Before = C.Store->stats();
+  }
+  ~StoreUse() {
+    if (!C.Store)
+      return;
+    const store::StoreStats &After = C.Store->stats();
+    R.Quarantined += After.Quarantined - Before.Quarantined +
+                     After.SkippedInvalid - Before.SkippedInvalid;
+    for (store::StoreIncident &I : C.Store->takeIncidents())
+      R.Incidents.push_back(std::move(I));
+  }
+  StoreUse(const StoreUse &) = delete;
+  StoreUse &operator=(const StoreUse &) = delete;
+
+  /// Opens the store at the first call, and again when its log was
+  /// removed or replaced since; otherwise indexes what other processes
+  /// appended. A store that cannot open is a robustness event, not a
+  /// certification failure: it is recorded, the call runs storeless,
+  /// and the next call retries.
+  bool open(const CertifierOptions &O) {
+    try {
+      if (C.Store && C.Store->refresh())
+        return true;
+      C.Store.reset();
+      C.Store = std::make_unique<store::CertStore>(O.StorePath, O.StoreMode);
+      Before = store::StoreStats();
+      return true;
+    } catch (const CertifyError &E) {
+      C.Store.reset();
+      R.Incidents.push_back({"", "StoreIO", E.message()});
+      return false;
+    }
+  }
+
+  explicit operator bool() const { return C.Store != nullptr; }
+  store::CertStore *operator->() { return C.Store.get(); }
+  uint64_t &context() { return C.Context; }
+
+private:
+  std::lock_guard<std::mutex> Lock;
+  detail::StoreCache &C;
+  store::StoreReport &R;
+  store::StoreStats Before;
+};
+
 /// Assembles the store entries for the units the requested rung
 /// actually analyzed (hits are skipped — they are already on disk).
-/// Checks, certificates, and slice summaries are regrouped from the
-/// merged report by unit name; a unit that somehow lacks a certificate
+/// Checks and certificates are regrouped from the merged report by unit
+/// name; a unit that somehow lacks a certificate
 /// is not persisted rather than committing an entry the hit gate would
 /// reject forever.
 std::vector<store::StoreEntry>
@@ -330,14 +394,6 @@ buildStoreEntries(EngineKind Engine,
     It->second.HasCert = true;
     It->second.Cert = C;
     It->second.CertHash = C.ContentHash;
-  }
-  for (const MethodSliceSummary &MS : Report.SliceSummaries) {
-    auto It = ByUnit.find(MS.Method);
-    if (It == ByUnit.end())
-      continue;
-    It->second.HasSummary = true;
-    It->second.Slices = MS.Slices;
-    It->second.ForcedSingleReason = MS.ForcedSingleReason;
   }
   std::vector<store::StoreEntry> Out;
   for (auto &UnitAndEntry : ByUnit)
@@ -754,62 +810,68 @@ CertificationReport Certifier::certify(const cj::Program &P,
   if (!EOpts.StorePath.empty())
     EOpts.EmitCertificates = true;
 
-  std::unique_ptr<store::CertStore> Store;
   std::map<std::string, store::StoreEntry> StoreHits;
   std::map<std::string, uint64_t> UnitHashes;
+  bool HaveStore = false;
   if (!EOpts.StorePath.empty()) {
     Report.Store.Enabled = true;
     Report.Store.Path = EOpts.StorePath;
     Report.Store.ReadOnly = EOpts.StoreMode == store::StoreMode::ReadOnly;
-    try {
-      Store =
-          std::make_unique<store::CertStore>(EOpts.StorePath, EOpts.StoreMode);
-    } catch (const CertifyError &E) {
-      // A store that cannot open (or recover) is a robustness event,
-      // not a certification failure: record it and run storeless.
-      Report.Store.Incidents.push_back({"", "StoreIO", E.message()});
-    }
-  }
-  if (Store) {
-    const uint64_t Ctx =
-        store::contextFingerprint(SpecHash, Abs.str(), engineName(Engine),
-                                  storeOptionsFingerprint(EOpts));
-    const uint64_t ProgHash = store::programInputHash(CFG, Ctx);
-    if (Engine == EngineKind::SCMPInterproc) {
-      UnitHashes[std::string()] = ProgHash;
-    } else {
-      UnitHashes = store::methodInputHashes(CFG, Ctx);
-      if (EOpts.PointsTo)
-        // The whole-program points-to pre-analysis couples every method
-        // to the full program (alias groups and closed-world
-        // reachability can shift under any edit), so fold the program
-        // hash into each per-method key.
-        for (auto &UnitAndHash : UnitHashes) {
-          cert::Writer W;
-          W.u64(UnitAndHash.second);
-          W.u64(ProgHash);
-          UnitAndHash.second =
-              cert::fnv1a(W.buffer().data(), W.buffer().size());
+    std::map<std::string, store::StoreEntry> Found;
+    {
+      StoreUse Use(*SCache, Report.Store);
+      HaveStore = Use.open(EOpts);
+      if (HaveStore) {
+        uint64_t &Ctx = Use.context();
+        if (!Ctx)
+          Ctx = store::contextFingerprint(SpecHash, Abs.str(),
+                                          engineName(Engine),
+                                          storeOptionsFingerprint(EOpts));
+        if (Engine == EngineKind::SCMPInterproc) {
+          UnitHashes[std::string()] = store::programInputHash(CFG, Ctx);
+        } else {
+          UnitHashes = store::methodInputHashes(CFG, Ctx);
+          if (EOpts.PointsTo) {
+            // The whole-program points-to pre-analysis couples every
+            // method to the full program (alias groups and closed-world
+            // reachability can shift under any edit), so fold the
+            // program hash into each per-method key.
+            const uint64_t ProgHash = store::programInputHash(CFG, Ctx);
+            for (auto &UnitAndHash : UnitHashes) {
+              cert::Writer W;
+              W.u64(UnitAndHash.second);
+              W.u64(ProgHash);
+              UnitAndHash.second =
+                  cert::fnv1a(W.buffer().data(), W.buffer().size());
+            }
+          }
         }
+        for (const auto &[Unit, Hash] : UnitHashes) {
+          std::unique_ptr<store::StoreEntry> E;
+          try {
+            E = Use->get(Hash, Unit);
+          } catch (const CertifyError &Err) {
+            Report.Store.Incidents.push_back(
+                {Unit, "StoreIO", Err.message()});
+          }
+          if (E)
+            Found.emplace(Unit, std::move(*E));
+          else
+            ++Report.Store.Misses;
+        }
+      }
     }
-    cert::Checker Ck(S, Abs, CFG);
-    for (const auto &[Unit, Hash] : UnitHashes) {
-      std::unique_ptr<store::StoreEntry> E;
-      try {
-        E = Store->get(Hash, Unit);
-      } catch (const CertifyError &Err) {
-        Report.Store.Incidents.push_back({Unit, "StoreIO", Err.message()});
-        ++Report.Store.Misses;
-        continue;
-      }
-      if (!E) {
-        ++Report.Store.Misses;
-        continue;
-      }
+    // The gate runs outside the store's lock: it is the expensive part
+    // of a hit, and the entries are private copies.
+    std::optional<cert::Checker> Ck;
+    std::vector<std::pair<std::string, std::string>> Rejects;
+    for (auto &[Unit, E] : Found) {
+      if (!Ck)
+        Ck.emplace(S, Abs, CFG);
       std::string Why;
       bool Accept = false;
       try {
-        Accept = validateStoreEntry(*E, Engine, S, CFG, Ck, Why);
+        Accept = validateStoreEntry(E, Engine, S, CFG, *Ck, Why);
       } catch (const CertifyError &Err) {
         // An injected cert-check fault (or checker budget exhaustion)
         // while gating: the entry is unproven, treat it as rejected.
@@ -819,24 +881,26 @@ CertificationReport Certifier::certify(const cj::Program &P,
       if (!Accept) {
         ++Report.Store.Rejected;
         ++Report.Store.Misses;
-        Store->evict(Hash, Unit, Why);
         Report.Store.Incidents.push_back({Unit, "StoreEntryInvalid", Why});
+        Rejects.emplace_back(Unit, std::move(Why));
         continue;
       }
       ++Report.Store.Hits;
-      StoreHits.emplace(Unit, std::move(*E));
+      StoreHits.emplace(Unit, std::move(E));
+    }
+    if (!Rejects.empty()) {
+      StoreUse Use(*SCache, Report.Store);
+      for (const auto &[Unit, Why] : Rejects) {
+        if (!Use)
+          break;
+        try {
+          Use->evict(UnitHashes.at(Unit), Unit, Why);
+        } catch (const CertifyError &Err) {
+          Report.Store.Incidents.push_back({Unit, "StoreIO", Err.message()});
+        }
+      }
     }
   }
-  auto FinalizeStore = [&] {
-    if (!Store)
-      return;
-    const store::StoreStats &SS = Store->stats();
-    Report.Store.Quarantined = SS.Quarantined + SS.SkippedInvalid;
-    Report.Store.Writes = SS.Writes;
-    std::vector<store::StoreIncident> Inc = Store->takeIncidents();
-    for (store::StoreIncident &I : Inc)
-      Report.Store.Incidents.push_back(std::move(I));
-  };
 
   // The degradation ladder, most precise/expensive first. The requested
   // engine is the first rung; with degradation on, every cheaper engine
@@ -864,7 +928,6 @@ CertificationReport Certifier::certify(const cj::Program &P,
       if (!Opts.Degrade) {
         Diags.error(SourceLoc(), "interprocedural certification requires a "
                                  "main() method");
-        FinalizeStore();
         return Report;
       }
       StageAttempt At;
@@ -886,7 +949,7 @@ CertificationReport Certifier::certify(const cj::Program &P,
     try {
       EngineRun Run;
       runEngine(K, S, Abs, EOpts, CFG,
-                Store && K == Engine ? &StoreHits : nullptr, PTCache.get(),
+                HaveStore && K == Engine ? &StoreHits : nullptr, PTCache.get(),
                 Diags, Tok, Pool, Run);
 
       CertificateStats CS;
@@ -944,12 +1007,17 @@ CertificationReport Certifier::certify(const cj::Program &P,
             C.DegradeNote = Note;
           }
       }
-      if (Store && K == Engine &&
-          EOpts.StoreMode == store::StoreMode::ReadWrite)
-        for (const store::StoreEntry &E :
-             buildStoreEntries(Engine, UnitHashes, StoreHits, Report)) {
+      if (HaveStore && K == Engine &&
+          EOpts.StoreMode == store::StoreMode::ReadWrite) {
+        const std::vector<store::StoreEntry> Entries =
+            buildStoreEntries(Engine, UnitHashes, StoreHits, Report);
+        StoreUse Use(*SCache, Report.Store);
+        for (const store::StoreEntry &E : Entries) {
+          if (!Use)
+            break;
           try {
-            Store->put(E);
+            Use->put(E);
+            ++Report.Store.Writes;
           } catch (const CertifyError &Err) {
             // A failed commit never fails certification: the verdicts
             // stand, the entry simply is not cached.
@@ -957,7 +1025,7 @@ CertificationReport Certifier::certify(const cj::Program &P,
                 {E.Unit, "StoreIO", Err.message()});
           }
         }
-      FinalizeStore();
+      }
       return Report;
     } catch (const CertifyError &E) {
       At.Spend = Tok.spend();
@@ -996,6 +1064,5 @@ CertificationReport Certifier::certify(const cj::Program &P,
   }
   for (const cj::CFGMethod &M : CFG.Methods)
     enumerateObligations(Abs, M, Note, Report.Checks);
-  FinalizeStore();
   return Report;
 }

@@ -266,7 +266,10 @@ struct CertifierOptions {
   /// evidence is what makes entries re-validatable), and every store
   /// I/O failure degrades to re-analysis — never to a wrong or missing
   /// verdict. The store serves and fills only the *requested* engine's
-  /// rung; degraded fallback runs are never persisted.
+  /// rung; degraded fallback runs are never persisted. The certifier
+  /// opens the store at its first certify() and keeps it open, shared
+  /// with its copies; each call first indexes what other processes
+  /// appended and reopens the store if its log was removed or replaced.
   std::string StorePath;
   /// ReadOnly serves checker-gated hits without any disk mutation
   /// (useful for replicas serving from a shared snapshot).
@@ -281,6 +284,10 @@ namespace detail {
 /// cache is keyed by the structural program hash and shared across
 /// certify() calls on one Certifier.
 struct PointsToCache;
+/// The certifier's persistent store, opened at the first certify() that
+/// has a StorePath and shared, mutex-guarded, by the certifier's copies
+/// (defined in Certifier.cpp). A failed open is not memoized.
+struct StoreCache;
 } // namespace detail
 
 /// A generated certifier: a derived abstraction bound to a component
@@ -319,6 +326,7 @@ private:
   /// Mutex-guarded; shared_ptr so the incomplete type needs no
   /// out-of-line destructor and copies of the certifier share the memo.
   std::shared_ptr<detail::PointsToCache> PTCache;
+  std::shared_ptr<detail::StoreCache> SCache;
 };
 
 } // namespace core

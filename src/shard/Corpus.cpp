@@ -6,16 +6,44 @@
 #include "wp/Abstraction.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace canvas;
 using namespace canvas::shard;
 
 namespace fs = std::filesystem;
+
+namespace {
+
+/// Reads the file at \p Path whole, with one read sized by fstat.
+bool readWhole(const std::string &Path, std::string &Out) {
+  const int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
+    return false;
+  struct stat St;
+  bool Ok = ::fstat(Fd, &St) == 0;
+  if (Ok)
+    Out.resize(static_cast<size_t>(St.st_size));
+  for (size_t Got = 0; Ok && Got != Out.size();) {
+    const ssize_t N = ::read(Fd, Out.data() + Got, Out.size() - Got);
+    if (N < 0 && errno == EINTR)
+      continue;
+    Ok = N > 0;
+    Got += Ok ? static_cast<size_t>(N) : 0;
+  }
+  ::close(Fd);
+  return Ok;
+}
+
+} // namespace
 
 bool shard::loadCorpus(const std::string &Dir, std::vector<CorpusClient> &Out,
                        std::string &Error) {
@@ -40,14 +68,10 @@ bool shard::loadCorpus(const std::string &Dir, std::vector<CorpusClient> &Out,
     C.Name = P.filename().string();
     C.Name = C.Name.substr(0, C.Name.size() - 3);
     C.Path = P.string();
-    std::ifstream In(P, std::ios::binary);
-    if (!In) {
+    if (!readWhole(C.Path, C.Source)) {
       Error = "cannot read corpus client '" + C.Path + "'";
       return false;
     }
-    std::ostringstream SS;
-    SS << In.rdbuf();
-    C.Source = SS.str();
     Out.push_back(std::move(C));
   }
   if (Out.empty()) {

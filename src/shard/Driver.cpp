@@ -97,10 +97,18 @@ void accumulate(ShardRunStats &Stats, const ResultMsg &R) {
 }
 
 /// One worker process slot in the scheduler.
+/// One queued or in-flight attempt at a client. The queue holds corpus
+/// indices, not sources: a task frame is encoded from the corpus only
+/// when it is handed to a worker.
+struct Attempt {
+  uint32_t Index = 0;
+  uint8_t Retry = 0; ///< 1 when requeued after a worker crash.
+};
+
 struct WorkerSlot {
   support::ChildProcess Proc;
   bool HasTask = false;
-  TaskMsg Task;
+  Attempt Task;
 };
 
 void closeWorker(WorkerSlot &W) {
@@ -131,7 +139,7 @@ bool shard::runSharded(const std::vector<CorpusClient> &Corpus,
   // The scheduler queue: largest estimated cost first, corpus index as
   // the stable tie-break. Pull-based: each idle worker takes the front,
   // so big clients start early and the tail is one client long.
-  std::deque<TaskMsg> Queue;
+  std::deque<Attempt> Queue;
   {
     std::vector<uint32_t> Order(Corpus.size());
     for (uint32_t I = 0; I != Order.size(); ++I)
@@ -141,14 +149,8 @@ bool shard::runSharded(const std::vector<CorpusClient> &Corpus,
         return Corpus[A].Cost > Corpus[B].Cost;
       return A < B;
     });
-    for (uint32_t I : Order) {
-      TaskMsg T;
-      T.Index = I;
-      T.Name = Corpus[I].Name;
-      T.Source = Corpus[I].Source;
-      T.Retry = 0;
-      Queue.push_back(std::move(T));
-    }
+    for (uint32_t I : Order)
+      Queue.push_back({I, 0});
   }
 
   std::vector<std::string> Argv;
@@ -187,20 +189,21 @@ bool shard::runSharded(const std::vector<CorpusClient> &Corpus,
   auto OnWorkerDeath = [&](WorkerSlot &W) {
     closeWorker(W);
     if (W.HasTask) {
-      TaskMsg T = std::move(W.Task);
+      Attempt T = W.Task;
       W.HasTask = false;
       if (T.Retry == 0) {
         ++Stats.Requeues;
         T.Retry = 1;
-        Queue.push_front(std::move(T));
+        Queue.push_front(T);
       } else {
         ++Stats.CrashedClients;
         ++Stats.DegradedClients;
-        Sections[T.Index] = crashedSection(T.Name);
+        const std::string &Name = Corpus[T.Index].Name;
+        Sections[T.Index] = crashedSection(Name);
         Done[T.Index] = true;
         ++Completed;
         if (Opts.Stream)
-          StreamOut << "SHARD_JSONL {\"client\":\"" + jsonEscape(T.Name) +
+          StreamOut << "SHARD_JSONL {\"client\":\"" + jsonEscape(Name) +
                            "\",\"status\":\"crashed\",\"attempts\":2}\n"
                     << std::flush;
       }
@@ -224,17 +227,22 @@ bool shard::runSharded(const std::vector<CorpusClient> &Corpus,
         break;
       if (W.Proc.Pid <= 0 || W.HasTask)
         continue;
-      TaskMsg T = std::move(Queue.front());
+      const Attempt T = Queue.front();
       Queue.pop_front();
-      if (!writeFrame(W.Proc.InFd, MsgType::Task, encodeTask(T))) {
+      TaskMsg Msg;
+      Msg.Index = T.Index;
+      Msg.Name = Corpus[T.Index].Name;
+      Msg.Source = Corpus[T.Index].Source;
+      Msg.Retry = T.Retry;
+      if (!writeFrame(W.Proc.InFd, MsgType::Task, encodeTask(Msg))) {
         // The worker died before accepting the task: requeue this task
         // untouched (an unsent task is not an attempt) and handle the
         // death.
-        Queue.push_front(std::move(T));
+        Queue.push_front(T);
         OnWorkerDeath(W);
         continue;
       }
-      W.Task = std::move(T);
+      W.Task = T;
       W.HasTask = true;
     }
     if (Failed || Completed >= Corpus.size())

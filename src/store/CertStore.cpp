@@ -1,19 +1,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Store implementation. Commit protocol (put):
+/// Store implementation. The log is a sequence of frames, each a 16-byte
+/// header (magic, version, payload length, CRC-32 of the payload) and
+/// its payload. Entry frames carry a whole StoreEntry; tombstone frames
+/// carry only the key they revoke.
 ///
-///   1. append "B <file>" to the journal   (intent)
-///   2. write entries/<file>.tmp<N>        (full frame, never in place)
-///   3. rename(<file>.tmp<N>, <file>)      (the atomic commit point)
-///   4. append "C <file>" to the journal   (completion)
-///
-/// A crash anywhere leaves either the old entry (steps 1-3 incomplete)
-/// or the new one (rename done): the final file is only ever produced
-/// by rename, so a torn *entry* cannot exist; a torn *journal* tail or
-/// stray temp is discarded by the recovery pass, and any corruption
-/// that slips past (bit rot, hostile edits) is caught by the CRC frame
-/// on open and by the checker gate on use.
+/// A put is one write of one frame at the end of the log, under the
+/// lock. A crash mid-write leaves a frame whose header promises more
+/// bytes than the file holds: readers stop indexing there, so the key
+/// still reads as its pre-state, and the next writer truncates the tail
+/// before it appends. Corruption that slips past the framing (bit rot,
+/// hostile edits) is caught by the CRC on open, by the full decode on
+/// get, and by the checker gate on use.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,17 +23,13 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <system_error>
-#include <thread>
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace canvas;
@@ -45,29 +40,93 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr uint32_t FrameMagic = 0x53564E43; // "CNVS" little-endian.
-constexpr const char *ManifestLine = "canvas-cert-store v1\n";
+constexpr uint32_t TombMagic = 0x44564E43;  // "CNVD" little-endian.
+constexpr size_t HeaderSize = 16;
+/// The open scan reads the log in chunks of this size (a frame larger
+/// than a chunk gets a buffer of its own size).
+constexpr size_t ScanChunk = 64 * 1024;
+constexpr const char *ManifestLine = "canvas-cert-store v2\n";
 
 [[noreturn]] void ioError(std::string What) {
   throw CertifyError(CertifyErrorKind::StoreIO, std::move(What), "store");
 }
 
-std::string hex16(uint64_t V) {
-  static const char *Digits = "0123456789abcdef";
-  std::string Out(16, '0');
-  for (int I = 15; I >= 0; --I, V >>= 4)
-    Out[I] = Digits[V & 0xF];
+std::string errnoText() { return std::strerror(errno); }
+
+std::string hex(uint64_t V, int Digits) {
+  static const char *Hex = "0123456789abcdef";
+  std::string Out(Digits, '0');
+  for (int I = Digits - 1; I >= 0; --I, V >>= 4)
+    Out[I] = Hex[V & 0xF];
   return Out;
 }
 
-/// Reads a whole file; false on any I/O failure (caller decides whether
-/// that is an error or a miss).
-bool readFileBytes(const std::string &File, std::vector<uint8_t> &Out) {
-  std::ifstream In(File, std::ios::binary);
-  if (!In)
-    return false;
-  Out.assign(std::istreambuf_iterator<char>(In),
-             std::istreambuf_iterator<char>());
-  return !In.bad();
+/// Reads up to \p Size bytes at \p Offset, stopping early only at the
+/// end of the file; returns the count read, or -1 on an I/O error.
+ssize_t readAt(int Fd, uint8_t *Out, size_t Size, uint64_t Offset) {
+  size_t Got = 0;
+  while (Got != Size) {
+    const ssize_t N =
+        ::pread(Fd, Out + Got, Size - Got, static_cast<off_t>(Offset + Got));
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N < 0)
+      return -1;
+    if (N == 0)
+      break;
+    Got += static_cast<size_t>(N);
+  }
+  return static_cast<ssize_t>(Got);
+}
+
+bool pwriteAll(int Fd, const uint8_t *Data, size_t Size, uint64_t Offset) {
+  while (Size) {
+    const ssize_t N = ::pwrite(Fd, Data, Size, static_cast<off_t>(Offset));
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      return false;
+    Data += N;
+    Size -= static_cast<size_t>(N);
+    Offset += static_cast<uint64_t>(N);
+  }
+  return true;
+}
+
+struct Header {
+  uint32_t Magic = 0;
+  uint32_t Version = 0;
+  uint32_t Len = 0;
+  uint32_t Crc = 0;
+};
+
+Header readHeader(const uint8_t *P) {
+  cert::Reader R(P, HeaderSize);
+  Header H;
+  H.Magic = R.u32();
+  H.Version = R.u32();
+  H.Len = R.u32();
+  H.Crc = R.u32();
+  return H;
+}
+
+std::vector<uint8_t> frame(uint32_t Magic, const std::vector<uint8_t> &Payload) {
+  cert::Writer W;
+  W.u32(Magic);
+  W.u32(EntryFormatVersion);
+  W.u32(static_cast<uint32_t>(Payload.size()));
+  W.u32(crc32(Payload.data(), Payload.size()));
+  std::vector<uint8_t> Out = W.take();
+  Out.insert(Out.end(), Payload.begin(), Payload.end());
+  return Out;
+}
+
+/// Entry and tombstone payloads both start with the key.
+std::vector<uint8_t> encodeKey(uint64_t InputHash, const std::string &Unit) {
+  cert::Writer W;
+  W.u64(InputHash);
+  W.str(Unit);
+  return W.take();
 }
 
 void encodeLoc(cert::Writer &W, SourceLoc L) {
@@ -87,11 +146,6 @@ std::vector<uint8_t> encodeEntry(const StoreEntry &E) {
   W.u64(E.InputHash);
   W.str(E.Unit);
   W.str(E.Engine);
-  W.u8(E.HasSummary ? 1 : 0);
-  if (E.HasSummary) {
-    W.u32(E.Slices);
-    W.str(E.ForcedSingleReason);
-  }
   W.u32(static_cast<uint32_t>(E.Checks.size()));
   for (const core::CheckRecord &C : E.Checks) {
     W.str(C.Method);
@@ -120,17 +174,12 @@ std::vector<uint8_t> encodeEntry(const StoreEntry &E) {
   return W.take();
 }
 
-bool decodeEntry(const std::vector<uint8_t> &Payload, StoreEntry &Out,
+bool decodeEntry(const uint8_t *Payload, size_t Size, StoreEntry &Out,
                  std::string &Error) {
-  cert::Reader R(Payload);
+  cert::Reader R(Payload, Size);
   Out.InputHash = R.u64();
   Out.Unit = R.str();
   Out.Engine = R.str();
-  Out.HasSummary = R.u8() != 0;
-  if (Out.HasSummary) {
-    Out.Slices = R.u32();
-    Out.ForcedSingleReason = R.str();
-  }
   const uint32_t NumChecks = R.u32();
   for (uint32_t I = 0; I != NumChecks && !R.failed(); ++I) {
     core::CheckRecord C;
@@ -198,112 +247,91 @@ bool decodeEntry(const std::vector<uint8_t> &Payload, StoreEntry &Out,
 } // namespace
 
 uint32_t store::crc32(const uint8_t *Data, size_t Size) {
-  static const std::array<uint32_t, 256> Table = [] {
-    std::array<uint32_t, 256> T{};
+  // Slicing-by-8: T[S][B] is the CRC of byte B followed by S zero bytes,
+  // so eight input bytes fold into the register with eight lookups.
+  static const auto T = [] {
+    std::array<std::array<uint32_t, 256>, 8> T{};
     for (uint32_t I = 0; I != 256; ++I) {
       uint32_t C = I;
       for (int K = 0; K != 8; ++K)
         C = (C & 1) ? (0xEDB88320u ^ (C >> 1)) : (C >> 1);
-      T[I] = C;
+      T[0][I] = C;
     }
+    for (uint32_t I = 0; I != 256; ++I)
+      for (int S = 1; S != 8; ++S)
+        T[S][I] = (T[S - 1][I] >> 8) ^ T[0][T[S - 1][I] & 0xFFu];
     return T;
   }();
+  auto Word = [](const uint8_t *P) {
+    return uint32_t(P[0]) | uint32_t(P[1]) << 8 | uint32_t(P[2]) << 16 |
+           uint32_t(P[3]) << 24;
+  };
   uint32_t C = 0xFFFFFFFFu;
-  for (size_t I = 0; I != Size; ++I)
-    C = Table[(C ^ Data[I]) & 0xFFu] ^ (C >> 8);
+  for (; Size >= 8; Data += 8, Size -= 8) {
+    const uint32_t Lo = Word(Data) ^ C, Hi = Word(Data + 4);
+    C = T[7][Lo & 0xFFu] ^ T[6][(Lo >> 8) & 0xFFu] ^ T[5][(Lo >> 16) & 0xFFu] ^
+        T[4][Lo >> 24] ^ T[3][Hi & 0xFFu] ^ T[2][(Hi >> 8) & 0xFFu] ^
+        T[1][(Hi >> 16) & 0xFFu] ^ T[0][Hi >> 24];
+  }
+  for (; Size; --Size)
+    C = T[0][(C ^ *Data++) & 0xFFu] ^ (C >> 8);
   return C ^ 0xFFFFFFFFu;
 }
 
-std::string CertStore::entryFileName(uint64_t InputHash,
-                                     const std::string &Unit) {
-  const uint64_t UnitHash = cert::fnv1a(
-      reinterpret_cast<const uint8_t *>(Unit.data()), Unit.size());
-  return hex16(InputHash) + "-" + hex16(UnitHash) + ".cert";
-}
-
 std::vector<uint8_t> CertStore::frameEntry(const StoreEntry &E) {
-  std::vector<uint8_t> Payload = encodeEntry(E);
-  cert::Writer W;
-  W.u32(FrameMagic);
-  W.u32(EntryFormatVersion);
-  W.u32(static_cast<uint32_t>(Payload.size()));
-  W.u32(crc32(Payload.data(), Payload.size()));
-  std::vector<uint8_t> Out = W.take();
-  Out.insert(Out.end(), Payload.begin(), Payload.end());
-  return Out;
+  return frame(FrameMagic, encodeEntry(E));
 }
 
 bool CertStore::parseFrame(const std::vector<uint8_t> &Bytes, StoreEntry &Out,
                            std::string &Error) {
-  if (Bytes.size() < 16) {
+  if (Bytes.size() < HeaderSize) {
     Error = "frame shorter than its header";
     return false;
   }
-  cert::Reader R(Bytes.data(), 16);
-  if (R.u32() != FrameMagic) {
+  const Header H = readHeader(Bytes.data());
+  if (H.Magic != FrameMagic) {
     Error = "bad frame magic";
     return false;
   }
-  if (R.u32() != EntryFormatVersion) {
+  if (H.Version != EntryFormatVersion) {
     Error = "unsupported entry format version";
     return false;
   }
-  const uint32_t Len = R.u32();
-  const uint32_t Crc = R.u32();
-  if (Bytes.size() - 16 != Len) {
-    Error = "frame length disagrees with the file size";
+  if (Bytes.size() - HeaderSize != H.Len) {
+    Error = "frame length disagrees with the record size";
     return false;
   }
-  if (crc32(Bytes.data() + 16, Len) != Crc) {
+  if (crc32(Bytes.data() + HeaderSize, H.Len) != H.Crc) {
     Error = "CRC mismatch (torn or corrupt record)";
     return false;
   }
-  std::vector<uint8_t> Payload(Bytes.begin() + 16, Bytes.end());
-  return decodeEntry(Payload, Out, Error);
+  return decodeEntry(Bytes.data() + HeaderSize, H.Len, Out, Error);
 }
 
-std::string CertStore::entriesDir() const { return Root + "/entries"; }
-std::string CertStore::quarantineDir() const { return Root + "/quarantine"; }
-std::string CertStore::journalPath() const { return Root + "/journal.log"; }
-std::string CertStore::lockPath() const { return Root + "/LOCK"; }
-
-/// Acquires the exclusive multi-process lock: a short LOCK_NB spin
-/// (counted in Stats.LockWaits so contention is observable) and then a
-/// blocking flock. Blocking indefinitely is safe here — the kernel
-/// releases a dead holder's flock automatically, and every critical
-/// section is a bounded journal/commit operation, so a live holder
-/// always hands the lock over; a bounded give-up only manufactured
-/// spurious storeless runs when N workers oversubscribe one core.
-/// ReadOnly stores and re-entrant scopes (LockHeld) take nothing.
+/// Acquires the exclusive multi-process lock: one LOCK_NB try (a
+/// failure is counted in Stats.LockWaits, so contention is observable)
+/// and then a blocking flock. Blocking is safe: the kernel releases a
+/// dead holder's flock, and every critical section is one bounded
+/// append, so a live holder always hands the lock over.
 class CertStore::ScopedLock {
 public:
   explicit ScopedLock(CertStore &S) : S(S) {
-    if (S.Mode == StoreMode::ReadOnly || S.LockFd < 0 || S.LockHeld)
+    if (S.Mode == StoreMode::ReadOnly)
       return;
-    for (unsigned Attempt = 0; Attempt < 8; ++Attempt) {
-      if (::flock(S.LockFd, LOCK_EX | LOCK_NB) == 0) {
-        S.LockHeld = true;
-        Owned = true;
-        return;
-      }
+    if (::flock(S.LockFd, LOCK_EX | LOCK_NB) != 0) {
       if (errno != EWOULDBLOCK && errno != EINTR)
-        ioError("cannot lock the store: " + std::string(strerror(errno)));
+        ioError("cannot lock the store: " + errnoText());
       ++S.Stats.LockWaits;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1u << Attempt));
+      while (::flock(S.LockFd, LOCK_EX) != 0)
+        if (errno != EINTR)
+          ioError("cannot lock the store: " + errnoText());
     }
-    while (::flock(S.LockFd, LOCK_EX) != 0) {
-      if (errno != EINTR)
-        ioError("cannot lock the store: " + std::string(strerror(errno)));
-    }
-    S.LockHeld = true;
     Owned = true;
   }
 
   ~ScopedLock() {
-    if (Owned) {
-      S.LockHeld = false;
+    if (Owned)
       ::flock(S.LockFd, LOCK_UN);
-    }
   }
 
   ScopedLock(const ScopedLock &) = delete;
@@ -317,167 +345,58 @@ private:
 CertStore::CertStore(std::string RootPath, StoreMode Mode)
     : Root(std::move(RootPath)), Mode(Mode) {
   support::faultProbe("store-open");
-  std::error_code EC;
-  if (Mode == StoreMode::ReadWrite) {
-    fs::create_directories(entriesDir(), EC);
+  const std::string Log = Root + "/records.log";
+  if (Mode == StoreMode::ReadOnly) {
+    LogFd = ::open(Log.c_str(), O_RDONLY | O_CLOEXEC);
+    if (LogFd < 0)
+      ioError("read-only open of a missing store '" + Root + "'");
+  } else {
+    std::error_code EC;
+    fs::create_directories(Root + "/quarantine", EC);
     if (EC)
       ioError("cannot create store at '" + Root + "': " + EC.message());
-    fs::create_directories(quarantineDir(), EC);
-    if (EC)
-      ioError("cannot create quarantine at '" + Root + "': " + EC.message());
-    // The lock file must exist before anything below can be guarded;
-    // O_CREAT is itself atomic across racing openers.
-    LockFd = ::open(lockPath().c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-    if (LockFd < 0)
-      ioError("cannot open the store lock '" + lockPath() + "'");
-    try {
-      ScopedLock L(*this);
-      const std::string Manifest = Root + "/MANIFEST";
-      if (!fs::exists(Manifest)) {
-        std::ofstream Out(Manifest, std::ios::binary);
-        Out << ManifestLine;
-        if (!Out)
-          ioError("cannot write the store manifest");
-      }
-      recover();
-    } catch (...) {
-      // The destructor will not run when the constructor throws; the
-      // lock fd must not leak into the (store-less) continuation.
-      ::close(LockFd);
-      LockFd = -1;
-      throw;
+    // O_CREAT and O_EXCL are atomic across racing openers, so the
+    // layout needs no lock.
+    const int Manifest = ::open((Root + "/MANIFEST").c_str(),
+                                O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+    if (Manifest >= 0) {
+      const size_t N = std::strlen(ManifestLine);
+      const bool Ok = pwriteAll(Manifest,
+                                reinterpret_cast<const uint8_t *>(ManifestLine),
+                                N, 0);
+      ::close(Manifest);
+      if (!Ok)
+        ioError("cannot write the store manifest");
+    } else if (errno != EEXIST) {
+      ioError("cannot create the store manifest: " + errnoText());
     }
-  } else {
-    if (!fs::is_directory(Root, EC) || !fs::is_directory(entriesDir(), EC))
-      ioError("read-only open of a missing store '" + Root + "'");
-    recover();
+    LockFd = ::open((Root + "/LOCK").c_str(), O_CREAT | O_RDWR | O_CLOEXEC,
+                    0644);
+    if (LockFd < 0)
+      ioError("cannot open the store lock: " + errnoText());
+    LogFd = ::open(Log.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+    if (LogFd < 0) {
+      ::close(LockFd);
+      ioError("cannot open the store log: " + errnoText());
+    }
+  }
+  try {
+    support::faultProbe("store-recover");
+    scan();
+  } catch (...) {
+    // The destructor does not run when the constructor throws; the fds
+    // must not leak into the (store-less) continuation.
+    ::close(LogFd);
+    if (LockFd >= 0)
+      ::close(LockFd);
+    throw;
   }
 }
 
 CertStore::~CertStore() {
+  ::close(LogFd);
   if (LockFd >= 0)
     ::close(LockFd);
-}
-
-void CertStore::recover() {
-  support::faultProbe("store-recover");
-  std::error_code EC;
-
-  // --- Journal scan: committed ("C") records cancel intents ("B"); a
-  // trailing fragment without a newline is a torn append and is
-  // discarded; unknown lines are ignored (forward compatibility).
-  std::vector<std::string> Pending;
-  {
-    std::vector<uint8_t> Raw;
-    if (readFileBytes(journalPath(), Raw)) {
-      std::vector<std::string> Begun;
-      size_t Start = 0;
-      for (size_t I = 0; I != Raw.size(); ++I) {
-        if (Raw[I] != '\n')
-          continue;
-        std::string Line(Raw.begin() + Start, Raw.begin() + I);
-        Start = I + 1;
-        if (Line.size() < 3 || Line[1] != ' ')
-          continue;
-        if (Line[0] == 'B')
-          Begun.push_back(Line.substr(2));
-        else if (Line[0] == 'C')
-          Begun.erase(std::remove(Begun.begin(), Begun.end(), Line.substr(2)),
-                      Begun.end());
-      }
-      Pending = std::move(Begun);
-    }
-  }
-  Stats.JournalRecovered += static_cast<unsigned>(Pending.size());
-  for (const std::string &File : Pending)
-    Incidents.push_back({"", "StoreRecover",
-                         "uncommitted journal intent for '" + File +
-                             "' (crashed commit; entry is pre- or "
-                             "post-state by construction)"});
-
-  // --- Stray temp files: a crashed commit's half-written frame. The
-  // final entry is only ever produced by rename, so temps are garbage.
-  if (fs::is_directory(entriesDir(), EC) && !EC) {
-    for (const fs::directory_entry &DE :
-         fs::directory_iterator(entriesDir(), EC)) {
-      const std::string Name = DE.path().filename().string();
-      if (Name.find(".tmp") == std::string::npos)
-        continue;
-      if (Mode == StoreMode::ReadWrite) {
-        fs::remove(DE.path(), EC);
-        ++Stats.TempsRemoved;
-      }
-    }
-  }
-  fs::path JournalTmp = fs::path(Root) / "journal.tmp";
-  if (Mode == StoreMode::ReadWrite && fs::exists(JournalTmp, EC))
-    fs::remove(JournalTmp, EC);
-
-  // --- Frame validation sweep: quarantine anything whose CRC frame or
-  // payload no longer decodes (bit rot, truncation, hostile edits).
-  std::vector<std::string> Files;
-  if (fs::is_directory(entriesDir(), EC) && !EC)
-    for (const fs::directory_entry &DE :
-         fs::directory_iterator(entriesDir(), EC)) {
-      const std::string Name = DE.path().filename().string();
-      if (Name.size() > 5 && Name.substr(Name.size() - 5) == ".cert")
-        Files.push_back(DE.path().string());
-    }
-  std::sort(Files.begin(), Files.end());
-  for (const std::string &File : Files) {
-    std::vector<uint8_t> Bytes;
-    StoreEntry E;
-    std::string Error;
-    if (readFileBytes(File, Bytes) && parseFrame(Bytes, E, Error))
-      continue;
-    if (Error.empty())
-      Error = "unreadable entry file";
-    quarantineFile(File, E.Unit, Error);
-  }
-
-  // --- Journal compaction: every surviving entry is validated, so the
-  // journal's history is dead weight; rewrite it empty via temp+rename
-  // (a short write tears only the temp, which the next open removes).
-  if (Mode == StoreMode::ReadWrite) {
-    const support::FaultAction A = support::faultProbeAction("store-recover");
-    std::ofstream Out(JournalTmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      ioError("cannot write the compacted journal");
-    if (A == support::FaultAction::ShortWrite) {
-      Out << "B torn-compaction-";
-      Out.flush();
-      ioError("injected short write compacting the journal");
-    }
-    Out.close();
-    fs::rename(JournalTmp, journalPath(), EC);
-    if (EC)
-      ioError("cannot swap in the compacted journal: " + EC.message());
-  }
-}
-
-void CertStore::quarantineFile(const std::string &File,
-                               const std::string &Unit,
-                               const std::string &Reason) {
-  const std::string Name = fs::path(File).filename().string();
-  if (Mode == StoreMode::ReadOnly) {
-    ++Stats.SkippedInvalid;
-    Incidents.push_back(
-        {Unit, "StoreEntryInvalid", Name + ": " + Reason + " (read-only: skipped)"});
-    return;
-  }
-  ScopedLock L(*this);
-  std::error_code EC;
-  fs::path Dest = fs::path(quarantineDir()) / Name;
-  for (unsigned I = 1; fs::exists(Dest, EC); ++I)
-    Dest = fs::path(quarantineDir()) / (Name + "." + std::to_string(I));
-  fs::rename(File, Dest, EC);
-  if (EC) {
-    // Renaming within one directory tree should not fail; if it does,
-    // fall back to removal so the poisoned entry cannot be served.
-    fs::remove(File, EC);
-  }
-  ++Stats.Quarantined;
-  Incidents.push_back({Unit, "StoreQuarantine", Name + ": " + Reason});
 }
 
 std::vector<StoreIncident> CertStore::takeIncidents() {
@@ -486,95 +405,162 @@ std::vector<StoreIncident> CertStore::takeIncidents() {
   return Out;
 }
 
-std::unique_ptr<StoreEntry> CertStore::get(uint64_t InputHash,
-                                           const std::string &Unit) {
-  support::faultProbe("store-read");
-  const std::string File =
-      entriesDir() + "/" + entryFileName(InputHash, Unit);
-  std::error_code EC;
-  if (!fs::exists(File, EC) || EC)
-    return nullptr;
+uint64_t CertStore::scan() {
+  struct stat St;
+  if (::fstat(LogFd, &St) != 0)
+    ioError("cannot stat the store log: " + errnoText());
+  const uint64_t Size = static_cast<uint64_t>(St.st_size);
+  std::vector<uint8_t> Buf;
+  uint64_t BufAt = 0;
+  // Makes Buf hold [At, At + Need); false when the file ends first
+  // (a writer may truncate a torn tail while this scan reads it).
+  auto Cover = [&](uint64_t At, uint64_t Need) {
+    if (At >= BufAt && At + Need <= BufAt + Buf.size())
+      return true;
+    if (At + Need > Size)
+      return false;
+    Buf.resize(std::min<uint64_t>(Size - At, std::max<uint64_t>(Need, ScanChunk)));
+    const ssize_t Got = readAt(LogFd, Buf.data(), Buf.size(), At);
+    if (Got < 0)
+      ioError("cannot read the store log: " + errnoText());
+    Buf.resize(static_cast<size_t>(Got));
+    BufAt = At;
+    return Need <= Buf.size();
+  };
+  while (Cover(End, HeaderSize)) {
+    const Header H = readHeader(Buf.data() + (End - BufAt));
+    // Bytes that are not a whole frame of this version end the
+    // readable log: a torn append, or junk the next writer truncates.
+    if ((H.Magic != FrameMagic && H.Magic != TombMagic) ||
+        H.Version != EntryFormatVersion || H.Len > UINT32_MAX - HeaderSize ||
+        !Cover(End, HeaderSize + H.Len))
+      break;
+    const uint8_t *Rec = Buf.data() + (End - BufAt);
+    const uint32_t Size32 = static_cast<uint32_t>(HeaderSize + H.Len);
+    cert::Reader R(Rec + HeaderSize, H.Len);
+    Key K;
+    K.first = R.u64();
+    K.second = R.str();
+    if (crc32(Rec + HeaderSize, H.Len) != H.Crc)
+      quarantine(End, Rec, Size32, "", "CRC mismatch (corrupt record)");
+    else if (R.failed())
+      quarantine(End, Rec, Size32, "", "record key does not decode");
+    else if (H.Magic == FrameMagic)
+      Index[std::move(K)] = {End, Size32};
+    else
+      Index.erase(K);
+    End += Size32;
+  }
+  return Size;
+}
+
+bool CertStore::refresh() {
+  struct stat Open, AtRoot;
+  if (::fstat(LogFd, &Open) != 0 ||
+      ::stat((Root + "/records.log").c_str(), &AtRoot) != 0 ||
+      Open.st_ino != AtRoot.st_ino || Open.st_dev != AtRoot.st_dev ||
+      static_cast<uint64_t>(Open.st_size) < End)
+    return false;
+  if (static_cast<uint64_t>(Open.st_size) > End)
+    scan();
+  return true;
+}
+
+uint64_t CertStore::append(const std::vector<uint8_t> &Frame) {
+  const uint64_t Size = scan();
+  if (Size > End) {
+    // Under the lock no live writer is mid-append, so these bytes are
+    // what a crashed or failed append left behind.
+    support::faultProbe("store-recover");
+    if (::ftruncate(LogFd, static_cast<off_t>(End)) != 0)
+      ioError("cannot truncate the torn log tail: " + errnoText());
+    ++Stats.TornTails;
+    Incidents.push_back({"", "StoreRecover",
+                         "truncated " + std::to_string(Size - End) +
+                             " byte(s) of torn log tail at offset " +
+                             std::to_string(End) +
+                             " (a crashed append; every indexed entry is "
+                             "pre- or post-state)"});
+  }
+  const bool Short = support::faultProbeAction("store-commit") ==
+                     support::FaultAction::ShortWrite;
+  // A short write leaves half a frame, exactly what a crash mid-write
+  // leaves; End stays put, so the fragment is the next writer's tail.
+  if (!pwriteAll(LogFd, Frame.data(), Short ? Frame.size() / 2 : Frame.size(),
+                 End))
+    ioError("cannot append to the store log: " + errnoText());
+  if (Short)
+    ioError("injected short write appending to the store log");
+  const uint64_t At = End;
+  End += Frame.size();
+  return At;
+}
+
+bool CertStore::readRecord(const Record &R, std::vector<uint8_t> &Out) const {
+  Out.resize(R.Size);
+  return readAt(LogFd, Out.data(), R.Size, R.Offset) == R.Size;
+}
+
+void CertStore::quarantine(uint64_t Offset, const uint8_t *Bytes, size_t Size,
+                           const std::string &Unit, const std::string &Reason) {
+  const std::string Name = "record at offset " + std::to_string(Offset);
+  if (Mode == StoreMode::ReadOnly) {
+    ++Stats.SkippedInvalid;
+    Incidents.push_back(
+        {Unit, "StoreEntryInvalid", Name + ": " + Reason + " (read-only: skipped)"});
+    return;
+  }
+  // The log keeps the bad bytes, so every process scanning it meets
+  // them again: the copy's name is a function of the bytes and where
+  // they lie, and only the process that creates it reports it.
+  const std::string File = Root + "/quarantine/" + hex(Offset, 16) + "-" +
+                           hex(crc32(Bytes, Size), 8) + ".rec";
+  const int Fd =
+      ::open(File.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+  if (Fd < 0 && errno == EEXIST)
+    return;
+  if (Fd >= 0) {
+    pwriteAll(Fd, Bytes, Size, 0);
+    ::close(Fd);
+  }
+  ++Stats.Quarantined;
+  Incidents.push_back({Unit, "StoreQuarantine", Name + ": " + Reason});
+}
+
+std::unique_ptr<StoreEntry>
+CertStore::load(std::map<Key, Record>::iterator It) {
   std::vector<uint8_t> Bytes;
-  if (!readFileBytes(File, Bytes))
-    ioError("cannot read store entry '" + File + "'");
+  if (!readRecord(It->second, Bytes))
+    ioError("cannot read store record at offset " +
+            std::to_string(It->second.Offset));
   auto E = std::make_unique<StoreEntry>();
   std::string Error;
-  if (!parseFrame(Bytes, *E, Error)) {
-    quarantineFile(File, Unit, Error);
-    return nullptr;
-  }
-  if (E->InputHash != InputHash || E->Unit != Unit) {
-    quarantineFile(File, Unit, "entry key disagrees with its file name");
+  if (!parseFrame(Bytes, *E, Error) ||
+      (E->InputHash != It->first.first || E->Unit != It->first.second)) {
+    if (Error.empty())
+      Error = "entry key disagrees with its index key";
+    quarantine(It->second.Offset, Bytes.data(), Bytes.size(), It->first.second,
+               Error);
+    Index.erase(It);
     return nullptr;
   }
   return E;
 }
 
-void CertStore::appendJournal(const std::string &Line) {
-  const support::FaultAction A = support::faultProbeAction("store-commit");
-  std::ofstream Out(journalPath(), std::ios::binary | std::ios::app);
-  if (!Out)
-    ioError("cannot append to the store journal");
-  if (A == support::FaultAction::ShortWrite) {
-    // A torn append: half the record, no newline — exactly what a
-    // crash mid-write leaves. Recovery discards the fragment.
-    Out << Line.substr(0, Line.size() / 2);
-    Out.flush();
-    ioError("injected short write appending '" + Line + "'");
-  }
-  Out << Line << '\n';
-  Out.flush();
-  if (!Out)
-    ioError("store journal append failed");
+std::unique_ptr<StoreEntry> CertStore::get(uint64_t InputHash,
+                                           const std::string &Unit) {
+  support::faultProbe("store-read");
+  auto It = Index.find({InputHash, Unit});
+  return It == Index.end() ? nullptr : load(It);
 }
 
 void CertStore::put(const StoreEntry &E) {
   if (Mode == StoreMode::ReadOnly)
     ioError("put into a read-only store");
-  // The lock spans the whole commit protocol, so concurrent processes
-  // serialize journal appends and no live temp of one process can be
-  // swept by another's recovery. A crash mid-commit drops the lock via
-  // the kernel; the half-done commit is the next recovery's problem,
-  // exactly as in the single-process story.
-  ScopedLock L(*this);
-  const std::string Name = entryFileName(E.InputHash, E.Unit);
-  appendJournal("B " + Name);
-
-  // Temps are pid-qualified so two processes committing the same key
-  // can never collide on a temp name.
-  static std::atomic<unsigned> TempCounter{0};
-  const std::string Tmp = entriesDir() + "/" + Name + ".tmp" +
-                          std::to_string(::getpid()) + "_" +
-                          std::to_string(TempCounter.fetch_add(1));
   const std::vector<uint8_t> Frame = frameEntry(E);
-  {
-    const support::FaultAction A = support::faultProbeAction("store-commit");
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      ioError("cannot write store temp '" + Tmp + "'");
-    const size_t N =
-        A == support::FaultAction::ShortWrite ? Frame.size() / 2 : Frame.size();
-    Out.write(reinterpret_cast<const char *>(Frame.data()),
-              static_cast<std::streamsize>(N));
-    Out.flush();
-    if (A == support::FaultAction::ShortWrite)
-      ioError("injected short write on store temp '" + Tmp + "'");
-    if (!Out)
-      ioError("short write on store temp '" + Tmp + "'");
-  }
-
-  if (support::faultProbeAction("store-commit") ==
-      support::FaultAction::ShortWrite) {
-    // Simulated crash between the temp write and the rename: the temp
-    // survives for recovery to sweep, the entry is untouched.
-    ioError("injected crash before committing '" + Name + "'");
-  }
-  std::error_code EC;
-  fs::rename(Tmp, entriesDir() + "/" + Name, EC);
-  if (EC)
-    ioError("cannot commit store entry '" + Name + "': " + EC.message());
-
-  appendJournal("C " + Name);
+  ScopedLock L(*this);
+  const uint64_t At = append(Frame);
+  Index[{E.InputHash, E.Unit}] = {At, static_cast<uint32_t>(Frame.size())};
   ++Stats.Writes;
 }
 
@@ -582,36 +568,32 @@ void CertStore::evict(uint64_t InputHash, const std::string &Unit,
                       const std::string &Reason) {
   if (Mode == StoreMode::ReadOnly)
     return;
-  const std::string File =
-      entriesDir() + "/" + entryFileName(InputHash, Unit);
-  std::error_code EC;
-  if (!fs::exists(File, EC) || EC)
+  Key K(InputHash, Unit);
+  auto It = Index.find(K);
+  if (It == Index.end())
     return;
-  quarantineFile(File, Unit, Reason);
+  const Record Rejected = It->second;
+  std::vector<uint8_t> Bytes;
+  if (readRecord(Rejected, Bytes))
+    quarantine(Rejected.Offset, Bytes.data(), Bytes.size(), Unit, Reason);
+  ScopedLock L(*this);
+  scan();
+  It = Index.find(K);
+  // Another process may have appended a fresh entry for the key since:
+  // the tombstone must not revoke that one.
+  if (It == Index.end() || It->second.Offset != Rejected.Offset)
+    return;
+  append(frame(TombMagic, encodeKey(InputHash, Unit)));
+  Index.erase(It);
 }
 
 std::vector<StoreEntry> CertStore::listEntries() {
-  std::error_code EC;
-  std::vector<std::string> Files;
-  if (fs::is_directory(entriesDir(), EC) && !EC)
-    for (const fs::directory_entry &DE :
-         fs::directory_iterator(entriesDir(), EC)) {
-      const std::string Name = DE.path().filename().string();
-      if (Name.size() > 5 && Name.substr(Name.size() - 5) == ".cert")
-        Files.push_back(DE.path().string());
-    }
-  std::sort(Files.begin(), Files.end());
   std::vector<StoreEntry> Out;
-  for (const std::string &File : Files) {
-    std::vector<uint8_t> Bytes;
-    StoreEntry E;
-    std::string Error;
-    if (!readFileBytes(File, Bytes) || !parseFrame(Bytes, E, Error)) {
-      quarantineFile(File, E.Unit,
-                     Error.empty() ? "unreadable entry file" : Error);
-      continue;
-    }
-    Out.push_back(std::move(E));
+  for (auto It = Index.begin(); It != Index.end();) {
+    auto Next = std::next(It);
+    if (std::unique_ptr<StoreEntry> E = load(It))
+      Out.push_back(std::move(*E));
+    It = Next;
   }
   std::sort(Out.begin(), Out.end(), [](const StoreEntry &A, const StoreEntry &B) {
     return A.Unit != B.Unit ? A.Unit < B.Unit : A.InputHash < B.InputHash;

@@ -37,7 +37,9 @@ namespace store {
 /// witness text. Version 3: a SlicePartition certificate carries one
 /// annotation over the partitioned program instead of one per slice,
 /// and every method that splits gets one (no unsliced fallback).
-inline constexpr uint32_t EntryFormatVersion = 3;
+/// Version 4: entries drop the slice summary, and the store keeps them
+/// as frames of one log instead of one file each.
+inline constexpr uint32_t EntryFormatVersion = 4;
 
 /// Folds the run-wide certification context into one seed: the FNV-1a
 /// hash of the spec source, the derived abstraction's rendering, the

@@ -1,10 +1,37 @@
 #include "support/Lexer.h"
 
-#include <cctype>
+#include <array>
+#include <cstdint>
 
 using namespace canvas;
 
 namespace {
+
+/// Character classes of the C locale, one table lookup per byte.
+enum : uint8_t {
+  Space = 1,     ///< isspace: ' ', '\t', '\n', '\v', '\f', '\r'.
+  IdStart = 2,   ///< isalpha, '_' and '$'.
+  Digit = 4,     ///< isdigit.
+  PunctChar = 8, ///< A one-character punctuation token.
+  IdChar = IdStart | Digit,
+};
+
+constexpr std::array<uint8_t, 256> Classes = [] {
+  std::array<uint8_t, 256> T{};
+  for (unsigned char C : {' ', '\t', '\n', '\v', '\f', '\r'})
+    T[C] = Space;
+  for (int C = 'a'; C <= 'z'; ++C)
+    T[C] = T[C - 'a' + 'A'] = IdStart;
+  T['_'] = T['$'] = IdStart;
+  for (int C = '0'; C <= '9'; ++C)
+    T[C] = Digit;
+  // The literal's terminator makes NUL one-character punctuation too.
+  for (unsigned char C : "{}()[].,;=!<>*&|+-/%:?")
+    T[C] = PunctChar;
+  return T;
+}();
+
+uint8_t classOf(char C) { return Classes[static_cast<unsigned char>(C)]; }
 
 class LexerImpl {
 public:
@@ -13,6 +40,8 @@ public:
 
   std::vector<Token> run() {
     std::vector<Token> Tokens;
+    // About one token per four source bytes in both languages.
+    Tokens.reserve(Source.size() / 4 + 1);
     while (true) {
       skipTrivia();
       SourceLoc Loc{Line, Col};
@@ -20,14 +49,14 @@ public:
         Tokens.push_back({TokenKind::End, "", Loc});
         return Tokens;
       }
-      char C = peek();
-      if (std::isalpha(static_cast<unsigned char>(C)) || C == '_' ||
-          C == '$') {
-        Tokens.push_back({TokenKind::Identifier, lexWord(), Loc});
+      const char C = Source[Pos];
+      const uint8_t Class = classOf(C);
+      if (Class & IdStart) {
+        Tokens.push_back({TokenKind::Identifier, take(IdChar), Loc});
         continue;
       }
-      if (std::isdigit(static_cast<unsigned char>(C))) {
-        Tokens.push_back({TokenKind::Number, lexNumber(), Loc});
+      if (Class & Digit) {
+        Tokens.push_back({TokenKind::Number, take(Digit), Loc});
         continue;
       }
       if (C == '"') {
@@ -62,10 +91,20 @@ private:
     ++Pos;
   }
 
+  /// The longest run of \p Mask-class bytes at Pos, which holds no
+  /// newline, so the column advances by its length.
+  std::string take(uint8_t Mask) {
+    const size_t Start = Pos;
+    while (Pos != Source.size() && (classOf(Source[Pos]) & Mask))
+      ++Pos;
+    Col += static_cast<unsigned>(Pos - Start);
+    return std::string(Source.substr(Start, Pos - Start));
+  }
+
   void skipTrivia() {
     while (!atEnd()) {
       char C = peek();
-      if (std::isspace(static_cast<unsigned char>(C))) {
+      if (classOf(C) & Space) {
         advance();
         continue;
       }
@@ -92,35 +131,13 @@ private:
     }
   }
 
-  std::string lexWord() {
-    std::string Word;
-    while (!atEnd()) {
-      char C = peek();
-      if (!std::isalnum(static_cast<unsigned char>(C)) && C != '_' && C != '$')
-        break;
-      Word += C;
-      advance();
-    }
-    return Word;
-  }
-
-  std::string lexNumber() {
-    std::string Num;
-    while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek()))) {
-      Num += peek();
-      advance();
-    }
-    return Num;
-  }
-
   std::string lexString() {
     SourceLoc Start{Line, Col};
-    std::string Text;
     advance(); // opening quote
-    while (!atEnd() && peek() != '"') {
-      Text += peek();
+    const size_t Begin = Pos;
+    while (!atEnd() && peek() != '"')
       advance();
-    }
+    std::string Text(Source.substr(Begin, Pos - Begin));
     if (atEnd()) {
       Diags.error(Start, "unterminated string literal");
       return Text;
@@ -138,15 +155,11 @@ private:
         return P;
       }
     }
-    static const char OneChar[] = "{}()[].,;=!<>*&|+-/%:?";
-    char C = peek();
-    for (char P : OneChar) {
-      if (C == P) {
-        advance();
-        return std::string(1, C);
-      }
-    }
-    return "";
+    if (!(classOf(peek()) & PunctChar))
+      return "";
+    std::string One(1, peek());
+    advance();
+    return One;
   }
 
   std::string_view Source;

@@ -10,7 +10,11 @@
 #include "core/Interpreter.h"
 #include "easl/Builtins.h"
 
+#include "../../bench/Suite.h"
+
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 using namespace canvas;
 using namespace canvas::core;
@@ -328,6 +332,50 @@ TEST(CertifierTest, PointsToPrunesUnreachableMethods) {
   CertificationReport Plain = runWithOptions(OrphanClient, CertifierOptions{});
   EXPECT_GT(Plain.numFlagged(), 0u) << Plain.str();
   EXPECT_EQ(Plain.PointsTo.PrunedMethods, 0u);
+}
+
+TEST(CertifierTest, InterprocFlagsNothingIntraProvesOnGrinder) {
+  // grinder has one method and no client calls, so the interprocedural
+  // engine sees exactly what the intraprocedural one sees. Both must
+  // kill a checked variable past its check (the requires clause held),
+  // or the interprocedural engine flags k.remove() in the inner loop.
+  const char *Grinder = nullptr;
+  for (const bench::BenchClient &BC : bench::cmpSuite())
+    if (std::strcmp(BC.Name, "grinder") == 0)
+      Grinder = BC.Source;
+  ASSERT_NE(Grinder, nullptr);
+  CertifierOptions Opts;
+  Opts.EmitCertificates = Opts.CheckCertificates = true;
+  auto Run = [&](EngineKind K) {
+    DiagnosticEngine Diags;
+    Certifier C(easl::cmpSpecSource(), K, Diags, {}, Opts);
+    CertificationReport R = C.certifySource(Grinder, Diags);
+    EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+    // Degradation would mean a rung failed, e.g. its certificate was
+    // rejected by the checker.
+    EXPECT_FALSE(R.Degraded) << R.str();
+    EXPECT_TRUE(R.CertStats.Checked);
+    return R;
+  };
+  const CertificationReport Intra = Run(EngineKind::SCMPIntra);
+  const CertificationReport Inter = Run(EngineKind::SCMPInterproc);
+  ASSERT_EQ(Intra.Checks.size(), Inter.Checks.size());
+  auto Proven = [](CheckOutcome O) {
+    return O == CheckOutcome::Safe || O == CheckOutcome::Unreachable;
+  };
+  unsigned IntraProven = 0;
+  for (const CheckVerdict &A : Intra.Checks) {
+    IntraProven += Proven(A.Outcome);
+    for (const CheckVerdict &B : Inter.Checks) {
+      if (B.Loc.Line == A.Loc.Line && B.Loc.Col == A.Loc.Col &&
+          B.What == A.What && Proven(A.Outcome)) {
+        EXPECT_TRUE(Proven(B.Outcome))
+            << A.Loc.str() << " " << A.What << ": scmp-intra proves it, "
+            << "scmp-interproc reports " << outcomeStr(B.Outcome);
+      }
+    }
+  }
+  EXPECT_GT(IntraProven, 0u);
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 //===----------------------------------------------------------------------===//
 // Crash-safety harness: inject a fault (exception or torn short write)
-// at every probe inside the commit protocol and at the recovery pass's
-// journal compaction, then reopen the store and demand the invariant —
-// the key reads back as exactly the pre-state or exactly the
-// post-state, byte-for-byte, never a torn hybrid.
+// at every probe inside put() and at the recovery probe of open, then
+// reopen the store and demand the invariant — the key reads back as
+// exactly the pre-state or exactly the post-state, byte-for-byte, never
+// a torn hybrid, and nothing is quarantined.
 //===----------------------------------------------------------------------===//
 
 #include "store/CertStore.h"
@@ -21,18 +21,17 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// put() walks four store-commit probes in order: the journal intent
-// append, the temp-file write, the pre-rename crash point, and the
-// journal completion append. Probe 5 never fires (clean run).
-constexpr unsigned ProbesPerPut = 4;
+// put() has one store-commit probe: the append of its frame. Probe 2
+// never fires (clean run).
+constexpr unsigned ProbesPerPut = 1;
 
-StoreEntry makeEntry(uint32_t Slices) {
+/// The entry for key (0xFEEDBEEF12345678, "A::m"); \p Version tells
+/// an old entry from its overwrite.
+StoreEntry makeEntry(uint8_t Version) {
   StoreEntry E;
   E.InputHash = 0xFEEDBEEF12345678ull;
   E.Unit = "A::m";
   E.Engine = "scmp-intra";
-  E.HasSummary = true;
-  E.Slices = Slices;
   core::CheckRecord C;
   C.Method = E.Unit;
   C.Loc.Line = 3;
@@ -43,7 +42,7 @@ StoreEntry makeEntry(uint32_t Slices) {
   Cert.Kind = cert::CertKind::BoolIntra;
   Cert.Unit = E.Unit;
   Cert.Claims.push_back({0, core::CheckOutcome::Safe});
-  Cert.Payload = {1, 2, 3, static_cast<uint8_t>(Slices)};
+  Cert.Payload = {1, 2, 3, Version};
   Cert.seal();
   E.HasCert = true;
   E.Cert = Cert;
@@ -100,6 +99,9 @@ TEST_P(CrashRecoveryTest, FirstPutAtEveryProbeIsPreOrPostState) {
     if (!Got) {
       Re.put(E);
       ASSERT_TRUE(Re.get(E.InputHash, E.Unit));
+      CertStore After(Dir, StoreMode::ReadWrite);
+      ASSERT_TRUE(After.get(E.InputHash, E.Unit)) << "probe " << N;
+      EXPECT_EQ(After.stats().Quarantined, 0u) << "probe " << N;
     }
     fs::remove_all(Dir);
     if (!Threw) {
@@ -156,33 +158,6 @@ INSTANTIATE_TEST_SUITE_P(Kinds, CrashRecoveryTest,
                                       ? "Throw"
                                       : "ShortWrite";
                          });
-
-TEST(CrashRecoveryCompactionTest, TornJournalCompactionRecoversOnReopen) {
-  support::clearFaultPlan();
-  const std::string Dir =
-      ::testing::TempDir() + "/crash-recovery-compaction-" +
-      std::to_string(static_cast<long>(::getpid()));
-  fs::remove_all(Dir);
-  const StoreEntry E = makeEntry(1);
-  {
-    CertStore St(Dir, StoreMode::ReadWrite);
-    St.put(E);
-  }
-  // Probe 2 of store-recover is the journal compaction write; tearing
-  // it makes the open itself fail (the simulated crash point).
-  support::setFaultPlan(
-      {"store-recover", 2, support::FaultKind::ShortWrite});
-  EXPECT_THROW(CertStore(Dir, StoreMode::ReadWrite), CertifyError);
-  support::clearFaultPlan();
-  // The next open sweeps the torn journal.tmp fragment and serves the
-  // committed entry untouched.
-  CertStore Re(Dir, StoreMode::ReadWrite);
-  std::unique_ptr<StoreEntry> Got = Re.get(E.InputHash, E.Unit);
-  ASSERT_TRUE(Got);
-  EXPECT_EQ(CertStore::frameEntry(*Got), CertStore::frameEntry(E));
-  EXPECT_FALSE(fs::exists(Dir + "/journal.tmp"));
-  fs::remove_all(Dir);
-}
 
 TEST(CrashRecoveryCompactionTest, ThrowingRecoverProbeFailsOpenCleanly) {
   support::clearFaultPlan();

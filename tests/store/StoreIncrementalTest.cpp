@@ -2,8 +2,10 @@
 // End-to-end incremental re-certification through core::Certifier: warm
 // runs answered entirely from the persistent store with byte-identical
 // reports, one-method edits re-analyzing only the edited method,
-// checker-gated rejection of tampered entries, and verdict stability
-// under every injected store fault.
+// checker-gated rejection of tampered entries, verdict stability under
+// every injected store fault, and one certifier's store kept open
+// across calls (per-call counters, retried opens, records and
+// tombstones from other processes, a store removed between calls).
 //===----------------------------------------------------------------------===//
 
 #include "core/Certifier.h"
@@ -15,6 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace canvas;
@@ -283,6 +288,135 @@ TEST_F(StoreIncrementalTest, PointsToCouplesEveryMethodToTheProgram) {
   CertificationReport After = run(TwoMethodsMainEdited, PtOpts);
   EXPECT_EQ(After.Store.Hits, 0u);
   EXPECT_EQ(After.Store.Misses, Cold.Store.Misses);
+}
+
+/// One certifier used for several certify() calls, as a shard worker
+/// uses it.
+struct SharedCertifier {
+  explicit SharedCertifier(const CertifierOptions &Opts)
+      : C(easl::cmpSpecSource(), EngineKind::SCMPIntra, Diags,
+          wp::DerivationOptions{}, Opts) {}
+  CertificationReport run(const char *Client) {
+    DiagnosticEngine D;
+    CertificationReport R = C.certifySource(Client, D);
+    EXPECT_FALSE(D.hasErrors()) << D.str();
+    return R;
+  }
+  DiagnosticEngine Diags;
+  Certifier C;
+};
+
+bool sawIncident(const CertificationReport &R, const char *Kind) {
+  for (const store::StoreIncident &I : R.Store.Incidents)
+    if (I.Kind == Kind)
+      return true;
+  return false;
+}
+
+TEST_F(StoreIncrementalTest, OneCertifierOpensOnceAndCountsPerCall) {
+  SharedCertifier SC(Opts);
+  // A second store-open probe would fire this plan and leave a StoreIO
+  // incident: the store is opened by the first call only.
+  support::setFaultPlan({"store-open", 2, support::FaultKind::Throw});
+  const CertificationReport Cold = SC.run(TwoMethods);
+  EXPECT_EQ(Cold.Store.Hits, 0u);
+  EXPECT_EQ(Cold.Store.Misses, 2u);
+  EXPECT_EQ(Cold.Store.Writes, 2u);
+  const CertificationReport Warm = SC.run(TwoMethods);
+  EXPECT_EQ(Warm.Store.Hits, 2u);
+  EXPECT_EQ(Warm.Store.Misses, 0u);
+  EXPECT_EQ(Warm.Store.Writes, 0u);
+  EXPECT_EQ(Warm.Store.Quarantined, 0u);
+  EXPECT_EQ(Warm.str(), Cold.str());
+  const CertificationReport Edited = SC.run(TwoMethodsMainEdited);
+  EXPECT_EQ(Edited.Store.Hits, 1u);
+  EXPECT_EQ(Edited.Store.Misses, 1u);
+  EXPECT_EQ(Edited.Store.Writes, 1u);
+  for (const CertificationReport *R : {&Cold, &Warm, &Edited})
+    EXPECT_TRUE(R->Store.Incidents.empty());
+  support::clearFaultPlan();
+
+  // Quarantines count in the call that made them, not after it.
+  {
+    std::fstream Log(Dir + "/records.log",
+                     std::ios::binary | std::ios::in | std::ios::out);
+    Log.seekp(20);
+    Log.put('\x5A');
+  }
+  SharedCertifier Fresh(Opts);
+  const CertificationReport First = Fresh.run(TwoMethods);
+  EXPECT_EQ(First.Store.Quarantined, 1u);
+  EXPECT_TRUE(sawIncident(First, "StoreQuarantine"));
+  EXPECT_EQ(First.str(), Cold.str());
+  const CertificationReport Second = Fresh.run(TwoMethods);
+  EXPECT_EQ(Second.Store.Quarantined, 0u);
+  EXPECT_EQ(Second.Store.Misses, 0u);
+}
+
+TEST_F(StoreIncrementalTest, FailedOpenIsRetriedOnTheNextCall) {
+  SharedCertifier SC(Opts);
+  support::setFaultPlan({"store-open", 1, support::FaultKind::Throw});
+  const CertificationReport Failed = SC.run(TwoMethods);
+  support::clearFaultPlan();
+  EXPECT_TRUE(sawIncident(Failed, "StoreIO"));
+  EXPECT_EQ(Failed.Store.Hits + Failed.Store.Writes, 0u);
+  const CertificationReport Retried = SC.run(TwoMethods);
+  EXPECT_TRUE(Retried.Store.Incidents.empty());
+  EXPECT_EQ(Retried.Store.Writes, 2u);
+  EXPECT_EQ(Retried.str(), Failed.str());
+  EXPECT_EQ(SC.run(TwoMethods).Store.Hits, 2u);
+}
+
+TEST_F(StoreIncrementalTest, OtherProcessesRecordsAndTombstonesReachAnOpenStore) {
+  SharedCertifier SC(Opts);
+  ASSERT_EQ(SC.run(TwoMethods).Store.Writes, 2u);
+
+  // Another process certifies the edited client: it appends main()'s
+  // new entry to the log this certifier already has open.
+  const pid_t Pid = ::fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0) {
+    DiagnosticEngine D;
+    Certifier Other(easl::cmpSpecSource(), EngineKind::SCMPIntra, D,
+                    wp::DerivationOptions{}, Opts);
+    const CertificationReport R = Other.certifySource(TwoMethodsMainEdited, D);
+    ::_exit(R.Store.Writes == 1 ? 0 : 1);
+  }
+  int Status = 0;
+  ASSERT_EQ(::waitpid(Pid, &Status, 0), Pid);
+  ASSERT_TRUE(WIFEXITED(Status));
+  ASSERT_EQ(WEXITSTATUS(Status), 0);
+  const CertificationReport Edited = SC.run(TwoMethodsMainEdited);
+  EXPECT_EQ(Edited.Store.Hits, 2u);
+  EXPECT_EQ(Edited.Store.Misses, 0u);
+
+  // Another instance rejects other()'s entry: its tombstone wins here.
+  {
+    store::CertStore St(Dir, store::StoreMode::ReadWrite);
+    for (const store::StoreEntry &E : St.listEntries())
+      if (E.Unit == "M::other")
+        St.evict(E.InputHash, E.Unit, "rejected by another instance");
+  }
+  const CertificationReport After = SC.run(TwoMethods);
+  EXPECT_EQ(After.Store.Hits, 1u);
+  EXPECT_EQ(After.Store.Misses, 1u);
+  EXPECT_EQ(After.Store.Rejected, 0u);
+  EXPECT_EQ(After.Store.Writes, 1u);
+}
+
+TEST_F(StoreIncrementalTest, StoreRemovedBetweenCallsIsReopened) {
+  SharedCertifier SC(Opts);
+  const CertificationReport Cold = SC.run(TwoMethods);
+  ASSERT_EQ(Cold.Store.Writes, 2u);
+  fs::remove_all(Dir);
+  // The open log was unlinked: serving from it would be serving a store
+  // that no longer exists. The call misses and writes again.
+  const CertificationReport Again = SC.run(TwoMethods);
+  EXPECT_EQ(Again.Store.Hits, 0u);
+  EXPECT_EQ(Again.Store.Misses, 2u);
+  EXPECT_EQ(Again.Store.Writes, 2u);
+  EXPECT_TRUE(fs::exists(Dir + "/records.log"));
+  EXPECT_EQ(SC.run(TwoMethods).Store.Hits, 2u);
 }
 
 } // namespace

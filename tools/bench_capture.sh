@@ -8,9 +8,9 @@
 # file at the repo root. Also captures the persistent certificate
 # store's hit-rate lines (a cold run that fills the store followed by a
 # warm run that must answer everything from it) from canvas_certify,
-# and the sharded driver's shard-scaling / shard-store lines from
-# canvas_shard (serial reference, 1/2/4/8-way cold runs, and a
-# cold+warm store pair at 4 workers over a 200-client corpus).
+# and the sharded driver's shard-scaling lines from canvas_shard
+# (serial reference and 1/2/4/8-way runs over a 200-client corpus) plus
+# storeless / cold / warm store timings at 4 workers.
 #
 # Usage: tools/bench_capture.sh [label]
 #   label   tag recorded with each line (default: "after"); use e.g.
@@ -75,11 +75,11 @@ EOF
 }
 
 # Shard scaling: one generated corpus, a serial reference, then cold
-# sharded runs at 1/2/4/8 workers, and a cold + store-warm pair at 4
-# workers. The shard-scaling lines carry wall-clock micros per shard
-# count; the shard-store lines record the warm pass's cross-worker hit
-# distribution (hits from >= 2 worker pids, zero quarantined is the
-# healthy shape).
+# sharded runs at 1/2/4/8 workers. Then the store at 4 workers: one
+# shard-store-speed line per mode (storeless, cold on a store emptied
+# before each rep, warm on a store filled once), each the min and median
+# wall clock of 7 reps with the last rep's store counters, nproc and the
+# build type.
 capture_shard() {
   local dir
   dir="$(mktemp -d)"
@@ -93,12 +93,46 @@ capture_shard() {
       --no-stream --bench-label=shard-200 --out="$dir/merged.txt" |
       sed -n 's/^BENCH_JSON //p' | grep '"bench":"shard' || true
   done
-  for run in cold warm; do
-    ./build/examples/canvas_shard --corpus="$dir/corpus" --shards=4 \
-      --store="$dir/store" --no-stream --bench-label=shard-200-$run \
-      --out="$dir/merged.txt" |
-      sed -n 's/^BENCH_JSON //p' | grep '"bench":"shard' || true
-  done
+  python3 - ./build/examples/canvas_shard "$dir" "$(nproc)" \
+    "$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' build/CMakeCache.txt)" <<'PYEOF'
+import json, shutil, statistics, subprocess, sys
+
+exe, work, nproc, build_type = sys.argv[1:5]
+REPS = 7
+
+def run(store=None):
+    cmd = [exe, "--corpus=" + work + "/corpus", "--shards=4", "--no-stream",
+           "--out=" + work + "/merged.txt"]
+    if store:
+        cmd.append("--store=" + work + "/" + store)
+    out = subprocess.run(cmd, check=True, capture_output=True, text=True)
+    lines = {}
+    for line in out.stdout.splitlines():
+        if line.startswith("BENCH_JSON "):
+            d = json.loads(line[len("BENCH_JSON "):])
+            lines[d["bench"]] = d
+    return lines
+
+run("warm")  # Fills the warm store.
+micros = {"storeless": [], "cold": [], "warm": []}
+last = {}
+for _ in range(REPS):
+    for mode in micros:
+        if mode == "cold":
+            shutil.rmtree(work + "/cold", ignore_errors=True)
+        last[mode] = run(None if mode == "storeless" else mode)
+        micros[mode].append(last[mode]["shard-scaling"]["micros"])
+for mode, us in micros.items():
+    row = {"bench": "shard-store-speed", "mode": mode, "clients": 200,
+           "shards": 4, "reps": REPS, "min_us": min(us),
+           "median_us": statistics.median(us), "nproc": int(nproc),
+           "build_type": build_type}
+    store = last[mode].get("shard-store")
+    if store:
+        for key in ("hits", "misses", "writes", "rejected", "quarantined"):
+            row[key] = store[key]
+    print(json.dumps(row, separators=(",", ":")))
+PYEOF
   rm -rf "$dir"
 }
 

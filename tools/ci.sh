@@ -116,11 +116,59 @@ run_ctest --preset ubsan -j "$JOBS" \
 
 step "store crash-recovery suite (sanitize)"
 # The persistent-store suite injects a crash (exception and torn short
-# write) at every commit-protocol probe and at journal compaction, plus
-# the hostile-framing fuzz corpus; run it on its own so a store
-# regression is named in the CI log, not buried in the full suite.
+# write) at every append probe and at the recovery probe of open, feeds
+# the log torn tails, corrupt records and the hostile-framing fuzz
+# corpus, and checks one certifier's store across calls and processes;
+# run it on its own so a store regression is named in the CI log, not
+# buried in the full suite.
 run_ctest --preset sanitize -j "$JOBS" \
-  -R 'CrashRecovery|CertStoreTest|StoreIncremental|InputHash'
+  -R 'CrashRecovery|CertStoreTest|StoreIncremental|StoreContention|InputHash'
+
+step "store smoke: warm sharded run vs storeless"
+# The store must make re-certification cheaper, not dearer: a warm run
+# at 4 shards must answer every unit from the store and take at most 3x
+# the storeless wall clock (each the minimum of 3 runs; default preset,
+# since sanitizer timings say nothing).
+cmake --preset default >/dev/null
+cmake --build --preset default -j "$JOBS" --target canvas_shard >/dev/null
+SMOKE_DIR="$(mktemp -d)"
+./build/examples/canvas_shard --generate="$SMOKE_DIR/corpus" --count=64 \
+  --seed=5 >/dev/null
+python3 - ./build/examples/canvas_shard "$SMOKE_DIR" <<'PYEOF'
+import json, subprocess, sys
+
+exe, work = sys.argv[1], sys.argv[2]
+
+def run(store=None):
+    cmd = [exe, "--corpus=" + work + "/corpus", "--shards=4", "--no-stream",
+           "--out=" + work + "/merged.txt"]
+    if store:
+        cmd.append("--store=" + work + "/" + store)
+    out = subprocess.run(cmd, check=True, capture_output=True, text=True)
+    lines = {}
+    for line in out.stdout.splitlines():
+        if line.startswith("BENCH_JSON "):
+            d = json.loads(line[len("BENCH_JSON "):])
+            lines[d["bench"]] = d
+    return lines
+
+cold = run("store")
+if cold["shard-store"]["writes"] == 0:
+    sys.exit("store smoke FAILED: the cold run wrote nothing")
+storeless = min(run()["shard-scaling"]["micros"] for _ in range(3))
+warm = []
+for _ in range(3):
+    r = run("store")
+    if r["shard-store"]["misses"] != 0:
+        sys.exit("store smoke FAILED: warm run missed %d unit(s)"
+                 % r["shard-store"]["misses"])
+    warm.append(r["shard-scaling"]["micros"])
+print("storeless %dus, warm %dus (%.2fx)" % (storeless, min(warm),
+                                             min(warm) / storeless))
+if min(warm) > 3 * storeless:
+    sys.exit("store smoke FAILED: warm run slower than 3x storeless")
+PYEOF
+rm -rf "$SMOKE_DIR"
 
 step "shard: multi-process determinism vs serial (sanitize)"
 # The sharded certification driver must merge to a report byte-identical
@@ -151,8 +199,9 @@ for site in $FAULT_SITES; do
   CANVAS_FAULT="$site:1" run_ctest --preset sanitize \
     -R RobustnessEnvFault -j "$JOBS"
 done
-# The write-capable store sites additionally honor torn short writes.
-for site in store-commit store-recover; do
+# store-commit, the only site that writes log bytes, additionally honors
+# torn short writes.
+for site in store-commit; do
   printf -- '--- CANVAS_FAULT=%s:1:short ---\n' "$site"
   CANVAS_FAULT="$site:1:short" run_ctest --preset sanitize \
     -R RobustnessEnvFault -j "$JOBS"
