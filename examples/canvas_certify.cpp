@@ -39,9 +39,11 @@
 // --points-to runs the whole-program points-to & escape pre-analysis
 // before the SCMPIntra engine: the report gains the points-to/escape
 // statistics and per-method slice summaries (including why slicing was
-// forced off), obligations of methods unreachable from main() are
-// discharged as unreachable, and under --emit-certs multi-slice
-// methods are certified per-slice behind a SlicePartition certificate.
+// forced off), the alias groups replace the syntactic slicing gates,
+// and obligations of methods unreachable from main() are discharged as
+// unreachable unless certificates are emitted. A method that splits is
+// certified with one boolean program over its slice partition (a
+// SlicePartition certificate under --emit-certs).
 //
 // --check-only skips the analyzer entirely: it re-derives the trusted
 // inputs (spec, abstraction, client CFG) and runs only cert::Checker
@@ -61,6 +63,7 @@
 #include "easl/Builtins.h"
 #include "store/CertStore.h"
 #include "support/Budget.h"
+#include "support/Json.h"
 
 #include <cstdio>
 #include <cstring>
@@ -70,6 +73,7 @@
 #include <string>
 
 using namespace canvas;
+using support::jsonEscape;
 
 namespace {
 
@@ -116,27 +120,6 @@ int usage() {
                "       canvas_certify --store-snapshot=DIR\n"
                "       canvas_certify --store-diff=OLDDIR,NEWDIR\n");
   return 2;
-}
-
-/// Minimal JSON string escaping for the snapshot/diff JSONL rows (unit
-/// names and store paths only contain identifier characters, but a
-/// hostile store could hold anything).
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    if (C == '"' || C == '\\') {
-      Out += '\\';
-      Out += C;
-    } else if (static_cast<unsigned char>(C) < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-      Out += Buf;
-    } else {
-      Out += C;
-    }
-  }
-  return Out;
 }
 
 std::string hex64(uint64_t V) {
@@ -380,18 +363,9 @@ int main(int argc, char **argv) {
   if (CheckOnly)
     return checkOnly(SpecSource, ClientSource, CertsPath);
 
-  core::EngineKind Engine;
-  if (EngineArg == "scmp-intra")
-    Engine = core::EngineKind::SCMPIntra;
-  else if (EngineArg == "scmp-interproc")
-    Engine = core::EngineKind::SCMPInterproc;
-  else if (EngineArg == "tvla-independent")
-    Engine = core::EngineKind::TVLAIndependent;
-  else if (EngineArg == "tvla-relational")
-    Engine = core::EngineKind::TVLARelational;
-  else if (EngineArg == "generic-allocsite")
-    Engine = core::EngineKind::GenericAllocSite;
-  else
+  const std::optional<core::EngineKind> Engine =
+      core::parseEngineName(EngineArg);
+  if (!Engine)
     return usage();
 
   core::CertifierOptions Opts;
@@ -403,7 +377,7 @@ int main(int argc, char **argv) {
                                         : store::StoreMode::ReadWrite;
 
   DiagnosticEngine Diags;
-  core::Certifier Certifier(SpecSource, Engine, Diags, {}, Opts);
+  core::Certifier Certifier(SpecSource, *Engine, Diags, {}, Opts);
   if (Diags.hasErrors()) {
     std::fprintf(stderr, "%s", Diags.str().c_str());
     return 2;

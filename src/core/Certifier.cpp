@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -40,6 +41,16 @@ const char *core::engineName(EngineKind K) {
     return "tvla-relational";
   }
   return "?";
+}
+
+std::optional<EngineKind> core::parseEngineName(std::string_view Name) {
+  for (EngineKind K :
+       {EngineKind::SCMPIntra, EngineKind::SCMPInterproc,
+        EngineKind::GenericAllocSite, EngineKind::TVLAIndependent,
+        EngineKind::TVLARelational})
+    if (Name == engineName(K))
+      return K;
+  return std::nullopt;
 }
 
 unsigned CertificationReport::numFlagged() const {
@@ -169,11 +180,46 @@ Certifier::certifySource(std::string_view ClientSource,
 
 namespace {
 
+/// What one unit produced on one rung: a client method for the
+/// per-method engines, the whole program ("") for SCMPInterproc. The
+/// unit's checks and certificate stay together until the rung
+/// completes; then the store commits them as they are and the report
+/// takes them in unit order.
+struct UnitRun {
+  std::string Name;
+  std::vector<CheckVerdict> Checks;
+  std::optional<cert::Certificate> Cert;
+  /// Answered by a gated store entry: the engine did not run.
+  bool FromStore = false;
+  /// Private to the unit: the shared engine is not thread-safe.
+  DiagnosticEngine Diags;
+  /// The engine's counters for this unit, summed over the rung.
+  bool Analyzed = false; ///< SCMPIntra built and solved its program.
+  bool Pruned = false;   ///< SCMPIntra discharged it as unreachable.
+  size_t BoolVars = 0;
+  TVLAStats Tvla;
+  double EmitMicros = 0;
+};
+
+/// Checker-gated store entries by unit name.
+using StoreHits = std::map<std::string, store::StoreEntry>;
+
+/// The store's part in one certify() call: the lookup stage fills it
+/// before the ladder, the requested rung reads its hits, and the commit
+/// stage writes that rung's analyzed units back at their keys.
+struct StoreSession {
+  /// The certifier's open store; null when the call runs storeless.
+  detail::StoreCache *Cache = nullptr;
+  /// Every unit's input hash, the key its entry is read and written at.
+  std::map<std::string, uint64_t> Keys;
+  StoreHits Hits;
+};
+
 /// Everything one engine rung produces. Kept separate from the report
 /// and merged only when the rung completes, so a rung that throws
 /// mid-run leaves no partial verdicts behind.
 struct EngineRun {
-  std::vector<CheckVerdict> Checks;
+  std::vector<UnitRun> Units;
   std::vector<LintFinding> Lints;
   PreAnalysisSummary Pre;
   PointsToReport PointsTo;
@@ -182,7 +228,6 @@ struct EngineRun {
   TVLAStats Tvla;
   size_t BoolVars = 0;
   size_t MaxBoolVars = 0;
-  std::vector<cert::Certificate> Certs;
   double EmitMicros = 0;
 };
 
@@ -198,12 +243,9 @@ template <typename Fn> auto timed(double &Micros, Fn &&F) {
 /// The option knobs folded into every store key: anything that can
 /// change a verdict or a printed analysis artifact. Worker counts and
 /// stage budgets are deliberately excluded — merges are canonical in
-/// method-index order, so they affect wall-clock, never results.
+/// unit order, so they affect wall-clock, never results.
 std::string storeOptionsFingerprint(const CertifierOptions &O) {
-  std::string F = "v1";
-  F += O.PointsTo ? ":pt1" : ":pt0";
-  F += ":tvla" + std::to_string(O.TVLAMaxStructuresPerPoint);
-  return F;
+  return O.PointsTo ? "v1:pt1" : "v1:pt0";
 }
 
 /// Gates a store hit before it may answer: the store is untrusted bytes
@@ -358,48 +400,34 @@ private:
   store::StoreStats Before;
 };
 
-/// Assembles the store entries for the units the requested rung
-/// actually analyzed (hits are skipped — they are already on disk).
-/// Checks and certificates are regrouped from the merged report by unit
-/// name; a unit that somehow lacks a certificate
-/// is not persisted rather than committing an entry the hit gate would
-/// reject forever.
-std::vector<store::StoreEntry>
-buildStoreEntries(EngineKind Engine,
-                  const std::map<std::string, uint64_t> &UnitHashes,
-                  const std::map<std::string, store::StoreEntry> &Hits,
-                  const CertificationReport &Report) {
-  std::map<std::string, store::StoreEntry> ByUnit;
-  for (const auto &[Unit, Hash] : UnitHashes) {
-    if (Hits.count(Unit))
-      continue;
-    store::StoreEntry E;
-    E.InputHash = Hash;
-    E.Unit = Unit;
-    E.Engine = engineName(Engine);
-    ByUnit.emplace(Unit, std::move(E));
+/// The commit stage: appends the requested rung's analyzed units that
+/// have a key to the store, in unit-name order (hits are already on
+/// disk; nothing is written in read-only mode). A unit without a
+/// certificate is not persisted rather than committing an entry the hit
+/// gate would reject forever. A failed put never fails certification:
+/// the verdicts stand, the entry simply is not cached.
+void commitStore(const StoreSession &Store, EngineKind Engine,
+                 const std::vector<UnitRun> &Units, store::StoreReport &R) {
+  if (!Store.Cache || R.ReadOnly)
+    return;
+  std::map<std::string, const UnitRun *> Commits;
+  for (const UnitRun &U : Units)
+    if (U.Cert && !U.FromStore && Store.Keys.count(U.Name))
+      Commits.emplace(U.Name, &U);
+  StoreUse Use(*Store.Cache, R);
+  for (const auto &[Unit, U] : Commits) {
+    if (!Use)
+      break;
+    const store::StoreEntry E{Store.Keys.at(Unit), Unit, engineName(Engine),
+                              U->Checks, /*HasCert=*/true,
+                              U->Cert->ContentHash, *U->Cert};
+    try {
+      Use->put(E);
+      ++R.Writes;
+    } catch (const CertifyError &Err) {
+      R.Incidents.push_back({E.Unit, "StoreIO", Err.message()});
+    }
   }
-  // The interprocedural engine's checks span methods but belong to the
-  // single whole-program unit "".
-  const bool Interproc = Engine == EngineKind::SCMPInterproc;
-  for (const CheckVerdict &C : Report.Checks) {
-    auto It = ByUnit.find(Interproc ? std::string() : C.Method);
-    if (It != ByUnit.end())
-      It->second.Checks.push_back(C);
-  }
-  for (const cert::Certificate &C : Report.Certificates) {
-    auto It = ByUnit.find(C.Unit);
-    if (It == ByUnit.end())
-      continue;
-    It->second.HasCert = true;
-    It->second.Cert = C;
-    It->second.CertHash = C.ContentHash;
-  }
-  std::vector<store::StoreEntry> Out;
-  for (auto &UnitAndEntry : ByUnit)
-    if (UnitAndEntry.second.HasCert)
-      Out.push_back(std::move(UnitAndEntry.second));
-  return Out;
 }
 
 void attachLints(std::vector<LintFinding> &Lints,
@@ -511,28 +539,56 @@ solvePointsTo(const easl::Spec &S, const cj::ClientCFG &CFG,
   }
 }
 
+/// The one fan-out of every rung: runs \p Analyze on \p Pool for each
+/// of \p Run's units without an entry in \p Hits (a hit reproduces the
+/// stored verdicts and certificate instead), then merges the units'
+/// diagnostics and counters in unit order, so the report and the
+/// diagnostic stream are identical for every worker count. A rung that
+/// throws merges nothing — no partial verdicts and no partial
+/// diagnostics. \p Hits is only read concurrently.
+void runUnits(EngineRun &Run, const StoreHits &Hits,
+              const std::function<void(size_t, UnitRun &)> &Analyze,
+              support::TaskPool &Pool, DiagnosticEngine &Diags) {
+  std::vector<std::function<void()>> Tasks;
+  Tasks.reserve(Run.Units.size());
+  for (size_t I = 0; I != Run.Units.size(); ++I)
+    Tasks.push_back([&, I] {
+      UnitRun &U = Run.Units[I];
+      auto Hit = Hits.find(U.Name);
+      if (Hit == Hits.end())
+        return Analyze(I, U);
+      U.Checks = Hit->second.Checks;
+      U.Cert = Hit->second.Cert;
+      U.FromStore = true;
+    });
+  Pool.runAll(Tasks);
+  for (const UnitRun &U : Run.Units) {
+    Diags.mergeFrom(U.Diags);
+    Run.Pre.SliceRuns += U.Analyzed;
+    Run.PointsTo.PrunedMethods += U.Pruned;
+    Run.BoolVars += U.BoolVars;
+    Run.MaxBoolVars = std::max(Run.MaxBoolVars, U.BoolVars);
+    Run.Tvla.InternedStructures += U.Tvla.InternedStructures;
+    Run.Tvla.TransferCacheHits += U.Tvla.TransferCacheHits;
+    Run.Tvla.TransferCacheMisses += U.Tvla.TransferCacheMisses;
+    Run.Tvla.MaxStructuresPerPoint =
+        std::max(Run.Tvla.MaxStructuresPerPoint, U.Tvla.MaxStructuresPerPoint);
+    Run.EmitMicros += U.EmitMicros;
+  }
+}
+
 /// Runs one ladder rung to completion under \p Tok's budget; throws
 /// CertifyError on exhaustion, injected faults, or checked invariants.
-///
-/// Per-method engines (SCMPIntra, GenericAllocSite, both TVLA modes)
-/// fan their methods out on \p Pool: each task analyzes one method into
-/// a private slot with a private DiagnosticEngine (the shared engine is
-/// not thread-safe), and slots are merged in method-index order after
-/// the pool drains. A rung that throws merges nothing — no partial
-/// verdicts and no partial diagnostics. SCMPInterproc is a
-/// whole-program analysis and stays serial.
-///
-/// \p StoreHits, when non-null, maps unit names to pre-validated store
-/// entries (checker-gated by the supervisor before the fan-out): a task
-/// whose unit has a hit reproduces the stored verdicts and certificate
-/// instead of running the engine. The map is only read concurrently.
+/// Each engine supplies the analysis of one unit — a client method, or
+/// for SCMPInterproc the whole program — and runUnits fans the units
+/// out. \p Hits holds the checker-gated store entries that answer units
+/// instead of the engine.
 void runEngine(EngineKind K, const easl::Spec &S,
                const wp::DerivedAbstraction &Abs,
                const CertifierOptions &Opts, const cj::ClientCFG &CFG,
-               const std::map<std::string, store::StoreEntry> *StoreHits,
-               detail::PointsToCache *PTC, DiagnosticEngine &Diags,
-               support::CancelToken &Tok, support::TaskPool &Pool,
-               EngineRun &Run) {
+               const StoreHits &Hits, detail::PointsToCache *PTC,
+               DiagnosticEngine &Diags, support::CancelToken &Tok,
+               support::TaskPool &Pool, EngineRun &Run) {
   // Optional whole-program points-to & escape pre-analysis: its
   // per-method may-interfere groups replace the syntactic slicing
   // gates.
@@ -549,245 +605,239 @@ void runEngine(EngineKind K, const easl::Spec &S,
   const dataflow::PreAnalysisResult PA = dataflow::preAnalyze(CFG, Abs, PreOpts);
   attachLints(Run.Lints, PA);
 
+  Run.Units.resize(K == EngineKind::SCMPInterproc ? 1 : CFG.Methods.size());
+  if (K != EngineKind::SCMPInterproc)
+    for (size_t MI = 0; MI != CFG.Methods.size(); ++MI)
+      Run.Units[MI].Name = CFG.Methods[MI].name();
+
+  std::function<void(size_t, UnitRun &)> Analyze;
   switch (K) {
   case EngineKind::SCMPIntra: {
+    Run.Pre.MultiSliceMethods = PA.multiSliceMethods();
+    for (const dataflow::MethodPlan &Plan : PA.Plans)
+      if (!Plan.Slices.empty())
+        Run.SliceSummaries.push_back(
+            {Plan.Source->name(), static_cast<unsigned>(Plan.Slices.size()),
+             Plan.ForcedSingleReason ? Plan.ForcedSingleReason : ""});
     // Closed-world pruning: under a solved points-to system with a
     // main() method, a method unreachable along the resolved call graph
     // never executes, so its obligations are discharged as Unreachable
     // without running the engine. Under certificate emission every
     // method is analyzed instead, so every unit carries a certificate.
     const bool Prune = PT && PT->Sys.HasMain && !Opts.EmitCertificates;
-    struct Slot {
-      std::vector<CheckVerdict> Checks;
-      std::vector<cert::Certificate> Certs;
-      DiagnosticEngine Diags;
-      bool Analyzed = false;
-      bool Pruned = false;
-      size_t BoolVars = 0;
-      double EmitMicros = 0;
-    };
-    std::vector<Slot> Slots(CFG.Methods.size());
-    std::vector<std::function<void()>> Tasks;
-    Tasks.reserve(CFG.Methods.size());
-    for (size_t MI = 0; MI != CFG.Methods.size(); ++MI)
-      Tasks.push_back([&, MI] {
-        const cj::CFGMethod &M = CFG.Methods[MI];
-        const dataflow::MethodPlan &Plan = PA.Plans[MI];
-        Slot &Out = Slots[MI];
-        if (StoreHits) {
-          auto HitIt = StoreHits->find(M.name());
-          if (HitIt != StoreHits->end()) {
-            Out.Checks = HitIt->second.Checks;
-            Out.Certs.push_back(HitIt->second.Cert);
-            return;
-          }
-        }
-        if (Prune && !PT->Reachable.count(M.name())) {
-          Out.Pruned = true;
-          enumerateObligations(Abs, M, "", Out.Checks,
-                               CheckOutcome::Unreachable, false);
-          return;
-        }
-        // One boolean program per method: over the Stage-0 partition,
-        // instances spanning two slices fold to constant false, and the
-        // checks, verdicts and witnesses are the unpartitioned
-        // program's.
-        const bool Split = Plan.multiSlice();
-        const bp::BooleanProgram BP =
-            Split ? bp::buildBooleanProgram(Abs, M, Out.Diags, Plan.Slices)
-                  : bp::buildBooleanProgram(Abs, M, Out.Diags);
-        const bp::IntraResult R = bp::analyzeIntraproc(BP, &Tok);
-        Out.Analyzed = true;
-        Out.BoolVars = BP.Vars.size();
-        if (Opts.EmitCertificates)
-          Out.Certs.push_back(timed(Out.EmitMicros, [&] {
-            if (!Split)
-              return cert::emitBoolIntra(BP, R);
-            // Mode-1 (points-to) evidence only when the partition used
-            // the alias groups; a syntactic partition is checkable by
-            // the local gates alone.
-            const bool Alias = PT && PT->aliasFor(M.name());
-            return cert::emitSlicePartition(Plan.Slices, BP, R, Plan.MayUninit,
-                                            Alias ? PT.get() : nullptr);
-          }));
-        std::vector<WitnessTrace> Witnesses;
-        if (R.numFlagged())
-          Witnesses = bp::intraWitnesses(BP, R);
-        for (size_t I = 0; I != BP.Checks.size(); ++I) {
-          CheckVerdict V;
-          V.Method = M.name();
-          V.Loc = BP.Checks[I].Loc;
-          V.What = BP.Checks[I].What;
-          V.Outcome = R.CheckResults[I];
-          V.ReqLoc = BP.Checks[I].ReqLoc;
-          if (!Witnesses.empty())
-            V.Witness = std::move(Witnesses[I]);
-          Out.Checks.push_back(std::move(V));
-        }
-      });
-    Pool.runAll(Tasks);
-    Run.Pre.MultiSliceMethods = PA.multiSliceMethods();
-    for (size_t MI = 0; MI != Slots.size(); ++MI) {
+    Analyze = [&, Prune](size_t MI, UnitRun &Out) {
+      const cj::CFGMethod &M = CFG.Methods[MI];
       const dataflow::MethodPlan &Plan = PA.Plans[MI];
-      if (!Plan.Slices.empty())
-        Run.SliceSummaries.push_back(
-            {Plan.Source->name(), static_cast<unsigned>(Plan.Slices.size()),
-             Plan.ForcedSingleReason ? Plan.ForcedSingleReason : ""});
-      Slot &Out = Slots[MI];
-      Diags.mergeFrom(Out.Diags);
-      Run.Pre.SliceRuns += Out.Analyzed;
-      Run.PointsTo.PrunedMethods += Out.Pruned;
-      Run.BoolVars += Out.BoolVars;
-      Run.MaxBoolVars = std::max(Run.MaxBoolVars, Out.BoolVars);
-      Run.EmitMicros += Out.EmitMicros;
-      for (CheckVerdict &V : Out.Checks)
-        Run.Checks.push_back(std::move(V));
-      for (cert::Certificate &Cert : Out.Certs)
-        Run.Certs.push_back(std::move(Cert));
-    }
-    return;
-  }
-  case EngineKind::SCMPInterproc: {
-    if (StoreHits) {
-      auto HitIt = StoreHits->find(std::string());
-      if (HitIt != StoreHits->end()) {
-        Run.Checks = HitIt->second.Checks;
-        Run.Certs.push_back(HitIt->second.Cert);
+      if (Prune && !PT->Reachable.count(Out.Name)) {
+        Out.Pruned = true;
+        enumerateObligations(Abs, M, "", Out.Checks, CheckOutcome::Unreachable,
+                             false);
         return;
       }
-    }
-    // The supervisor skips this rung when main() is absent.
-    const cj::CFGMethod *Main = CFG.mainCFG();
-    bp::InterprocModel Model(Abs, CFG, *Main, Diags);
-    bp::IfdsTabulation Tab;
-    bp::InterResult R = bp::analyzeInterproc(
-        Model, &Tok, Opts.EmitCertificates ? &Tab : nullptr);
-    if (Opts.EmitCertificates)
-      Run.Certs.push_back(
-          timed(Run.EmitMicros, [&] { return cert::emitIfds(Model, Tab); }));
-    Run.Inter.SummaryIterations = R.SummaryIterations;
-    Run.Inter.ExplodedNodes = R.ExplodedNodes;
-    Run.Inter.PathEdges = R.PathEdges;
-    Run.Inter.Summaries = R.Summaries;
-    Run.Inter.WitnessMicros = R.WitnessMicros;
-    Run.Checks = std::move(R.Checks);
-    return;
-  }
-  case EngineKind::GenericAllocSite: {
-    struct Slot {
-      std::vector<CheckVerdict> Checks;
-      std::vector<cert::Certificate> Certs;
-      double EmitMicros = 0;
+      // One boolean program per method: over the Stage-0 partition,
+      // instances spanning two slices fold to constant false, and the
+      // checks, verdicts and witnesses are the unpartitioned program's.
+      const bool Split = Plan.multiSlice();
+      const bp::BooleanProgram BP =
+          Split ? bp::buildBooleanProgram(Abs, M, Out.Diags, Plan.Slices)
+                : bp::buildBooleanProgram(Abs, M, Out.Diags);
+      const bp::IntraResult R = bp::analyzeIntraproc(BP, &Tok);
+      Out.Analyzed = true;
+      Out.BoolVars = BP.Vars.size();
+      if (Opts.EmitCertificates)
+        Out.Cert = timed(Out.EmitMicros, [&] {
+          if (!Split)
+            return cert::emitBoolIntra(BP, R);
+          // Mode-1 (points-to) evidence only when the partition used
+          // the alias groups; a syntactic partition is checkable by the
+          // local gates alone.
+          const bool Alias = PT && PT->aliasFor(Out.Name);
+          return cert::emitSlicePartition(Plan.Slices, BP, R, Plan.MayUninit,
+                                          Alias ? PT.get() : nullptr);
+        });
+      std::vector<WitnessTrace> Witnesses;
+      if (R.numFlagged())
+        Witnesses = bp::intraWitnesses(BP, R);
+      for (size_t I = 0; I != BP.Checks.size(); ++I) {
+        CheckVerdict V;
+        V.Method = Out.Name;
+        V.Loc = BP.Checks[I].Loc;
+        V.What = BP.Checks[I].What;
+        V.Outcome = R.CheckResults[I];
+        V.ReqLoc = BP.Checks[I].ReqLoc;
+        if (!Witnesses.empty())
+          V.Witness = std::move(Witnesses[I]);
+        Out.Checks.push_back(std::move(V));
+      }
     };
-    std::vector<Slot> Slots(CFG.Methods.size());
-    std::vector<std::function<void()>> Tasks;
-    Tasks.reserve(CFG.Methods.size());
-    for (size_t MI = 0; MI != CFG.Methods.size(); ++MI)
-      Tasks.push_back([&, MI] {
-        const cj::CFGMethod &M = CFG.Methods[MI];
-        Slot &Out = Slots[MI];
-        if (StoreHits) {
-          auto HitIt = StoreHits->find(M.name());
-          if (HitIt != StoreHits->end()) {
-            Out.Checks = HitIt->second.Checks;
-            Out.Certs.push_back(HitIt->second.Cert);
-            return;
-          }
-        }
-        BaselineAnnotation Ann;
-        BaselineResult R = analyzeAllocSite(
-            S, M, &Tok, Opts.EmitCertificates ? &Ann : nullptr);
-        if (Opts.EmitCertificates)
-          Out.Certs.push_back(timed(Out.EmitMicros, [&] {
-            return cert::emitAllocSite(M, Ann, R);
-          }));
-        for (const auto &[Site, Flagged] : R.Flagged) {
-          CheckRecord Rec;
-          Rec.Method = Site.Method;
-          Rec.Loc = M.Edges[Site.Edge].Act.Loc;
-          Rec.What = M.Edges[Site.Edge].Act.str() + " requires (spec " +
-                     Site.ReqLoc.str() + ")";
-          Rec.Outcome = Flagged ? CheckOutcome::Potential : CheckOutcome::Safe;
-          Rec.ReqLoc = Site.ReqLoc;
-          Out.Checks.push_back(std::move(Rec));
-        }
-      });
-    Pool.runAll(Tasks);
-    for (Slot &Out : Slots) {
-      Run.EmitMicros += Out.EmitMicros;
-      for (CheckVerdict &V : Out.Checks)
-        Run.Checks.push_back(std::move(V));
-      for (cert::Certificate &Cert : Out.Certs)
-        Run.Certs.push_back(std::move(Cert));
-    }
-    return;
+    break;
   }
+  case EngineKind::SCMPInterproc:
+    // The whole program is the rung's one unit, so its IFDS statistics
+    // are the rung's. The supervisor skips this rung when main() is
+    // absent.
+    Analyze = [&](size_t, UnitRun &Out) {
+      bp::InterprocModel Model(Abs, CFG, *CFG.mainCFG(), Out.Diags);
+      bp::IfdsTabulation Tab;
+      bp::InterResult R = bp::analyzeInterproc(
+          Model, &Tok, Opts.EmitCertificates ? &Tab : nullptr);
+      if (Opts.EmitCertificates)
+        Out.Cert =
+            timed(Out.EmitMicros, [&] { return cert::emitIfds(Model, Tab); });
+      Run.Inter = {R.SummaryIterations, R.ExplodedNodes, R.PathEdges,
+                   R.Summaries, R.WitnessMicros};
+      Out.Checks = std::move(R.Checks);
+    };
+    break;
+  case EngineKind::GenericAllocSite:
+    Analyze = [&](size_t MI, UnitRun &Out) {
+      const cj::CFGMethod &M = CFG.Methods[MI];
+      BaselineAnnotation Ann;
+      BaselineResult R = analyzeAllocSite(
+          S, M, &Tok, Opts.EmitCertificates ? &Ann : nullptr);
+      if (Opts.EmitCertificates)
+        Out.Cert = timed(Out.EmitMicros,
+                         [&] { return cert::emitAllocSite(M, Ann, R); });
+      for (const auto &[Site, Flagged] : R.Flagged) {
+        CheckRecord Rec;
+        Rec.Method = Site.Method;
+        Rec.Loc = M.Edges[Site.Edge].Act.Loc;
+        Rec.What = M.Edges[Site.Edge].Act.str() + " requires (spec " +
+                   Site.ReqLoc.str() + ")";
+        Rec.Outcome = Flagged ? CheckOutcome::Potential : CheckOutcome::Safe;
+        Rec.ReqLoc = Site.ReqLoc;
+        Out.Checks.push_back(std::move(Rec));
+      }
+    };
+    break;
   case EngineKind::TVLAIndependent:
-  case EngineKind::TVLARelational: {
-    struct Slot {
-      std::vector<CheckVerdict> Checks;
-      std::vector<cert::Certificate> Certs;
-      DiagnosticEngine Diags;
-      TVLAStats Tvla;
-      double EmitMicros = 0;
+  case EngineKind::TVLARelational:
+    Analyze = [&](size_t MI, UnitRun &Out) {
+      const cj::CFGMethod &M = CFG.Methods[MI];
+      tvla::TVLAOptions TO;
+      TO.Relational = K == EngineKind::TVLARelational;
+      TO.Cancel = &Tok;
+      tvla::PointAnnotation Ann;
+      if (Opts.EmitCertificates)
+        TO.AnnotationOut = &Ann;
+      tvla::TVLAResult R = tvla::certifyWithTVLA(S, Abs, M, TO, Out.Diags);
+      if (Opts.EmitCertificates)
+        Out.Cert = timed(Out.EmitMicros, [&] {
+          return cert::emitTvla(Abs, M, Ann, R, TO.Relational);
+        });
+      Out.Tvla = {R.InternedStructures, R.TransferCacheHits,
+                  R.TransferCacheMisses, R.MaxStructuresPerPoint};
+      for (const auto &C : R.Checks) {
+        CheckRecord Rec;
+        Rec.Method = Out.Name;
+        Rec.Loc = C.Loc;
+        Rec.What = C.What;
+        Rec.Outcome = C.Outcome;
+        Out.Checks.push_back(std::move(Rec));
+      }
     };
-    std::vector<Slot> Slots(CFG.Methods.size());
-    std::vector<std::function<void()>> Tasks;
-    Tasks.reserve(CFG.Methods.size());
-    for (size_t MI = 0; MI != CFG.Methods.size(); ++MI)
-      Tasks.push_back([&, MI, K] {
-        const cj::CFGMethod &M = CFG.Methods[MI];
-        Slot &Out = Slots[MI];
-        if (StoreHits) {
-          auto HitIt = StoreHits->find(M.name());
-          if (HitIt != StoreHits->end()) {
-            Out.Checks = HitIt->second.Checks;
-            Out.Certs.push_back(HitIt->second.Cert);
-            return;
-          }
+    break;
+  }
+  runUnits(Run, Hits, Analyze, Pool, Diags);
+}
+
+/// The store lookup stage of certify(), run before the ladder: opens
+/// \p C's store, keys every unit, reads each unit's entry, gates it with
+/// the independent checker outside the store lock, and evicts the
+/// entries the gate refuses.
+StoreSession lookupStore(detail::StoreCache &Cache, const Certifier &C,
+                         uint64_t SpecHash, const cj::ClientCFG &CFG,
+                         store::StoreReport &R) {
+  const CertifierOptions &Opts = C.options();
+  StoreSession Store;
+  if (Opts.StorePath.empty())
+    return Store;
+  R.Enabled = true;
+  R.Path = Opts.StorePath;
+  R.ReadOnly = Opts.StoreMode == store::StoreMode::ReadOnly;
+  StoreHits Found;
+  {
+    StoreUse Use(Cache, R);
+    if (!Use.open(Opts))
+      return Store;
+    Store.Cache = &Cache;
+    uint64_t &Ctx = Use.context();
+    if (!Ctx)
+      Ctx = store::contextFingerprint(SpecHash, C.abstraction().str(),
+                                      engineName(C.engine()),
+                                      storeOptionsFingerprint(Opts));
+    if (C.engine() == EngineKind::SCMPInterproc) {
+      Store.Keys[std::string()] = store::programInputHash(CFG, Ctx);
+    } else {
+      Store.Keys = store::methodInputHashes(CFG, Ctx);
+      if (Opts.PointsTo) {
+        // The whole-program points-to pre-analysis couples every
+        // method to the full program (alias groups and closed-world
+        // reachability can shift under any edit), so fold the program
+        // hash into each per-method key.
+        const uint64_t ProgHash = store::programInputHash(CFG, Ctx);
+        for (auto &UnitAndHash : Store.Keys) {
+          cert::Writer W;
+          W.u64(UnitAndHash.second);
+          W.u64(ProgHash);
+          UnitAndHash.second =
+              cert::fnv1a(W.buffer().data(), W.buffer().size());
         }
-        tvla::TVLAOptions TO;
-        TO.Relational = K == EngineKind::TVLARelational;
-        TO.MaxStructuresPerPoint = Opts.TVLAMaxStructuresPerPoint;
-        TO.Cancel = &Tok;
-        tvla::PointAnnotation Ann;
-        if (Opts.EmitCertificates)
-          TO.AnnotationOut = &Ann;
-        tvla::TVLAResult R = tvla::certifyWithTVLA(S, Abs, M, TO, Out.Diags);
-        if (Opts.EmitCertificates)
-          Out.Certs.push_back(timed(Out.EmitMicros, [&] {
-            return cert::emitTvla(Abs, M, Ann, R, TO.Relational);
-          }));
-        Out.Tvla.InternedStructures = R.InternedStructures;
-        Out.Tvla.TransferCacheHits = R.TransferCacheHits;
-        Out.Tvla.TransferCacheMisses = R.TransferCacheMisses;
-        Out.Tvla.MaxStructuresPerPoint = R.MaxStructuresPerPoint;
-        for (const auto &C : R.Checks) {
-          CheckRecord Rec;
-          Rec.Method = M.name();
-          Rec.Loc = C.Loc;
-          Rec.What = C.What;
-          Rec.Outcome = C.Outcome;
-          Out.Checks.push_back(std::move(Rec));
-        }
-      });
-    Pool.runAll(Tasks);
-    for (Slot &Out : Slots) {
-      Diags.mergeFrom(Out.Diags);
-      Run.Tvla.InternedStructures += Out.Tvla.InternedStructures;
-      Run.Tvla.TransferCacheHits += Out.Tvla.TransferCacheHits;
-      Run.Tvla.TransferCacheMisses += Out.Tvla.TransferCacheMisses;
-      Run.Tvla.MaxStructuresPerPoint = std::max(
-          Run.Tvla.MaxStructuresPerPoint, Out.Tvla.MaxStructuresPerPoint);
-      Run.EmitMicros += Out.EmitMicros;
-      for (CheckVerdict &V : Out.Checks)
-        Run.Checks.push_back(std::move(V));
-      for (cert::Certificate &Cert : Out.Certs)
-        Run.Certs.push_back(std::move(Cert));
+      }
     }
-    return;
+    for (const auto &[Unit, Hash] : Store.Keys) {
+      std::unique_ptr<store::StoreEntry> E;
+      try {
+        E = Use->get(Hash, Unit);
+      } catch (const CertifyError &Err) {
+        R.Incidents.push_back({Unit, "StoreIO", Err.message()});
+      }
+      if (E)
+        Found.emplace(Unit, std::move(*E));
+      else
+        ++R.Misses;
+    }
   }
+  // The gate runs outside the store's lock: it is the expensive part of
+  // a hit, and the entries are private copies.
+  std::optional<cert::Checker> Ck;
+  std::vector<std::pair<std::string, std::string>> Rejects;
+  for (auto &[Unit, E] : Found) {
+    if (!Ck)
+      Ck.emplace(C.spec(), C.abstraction(), CFG);
+    std::string Why;
+    bool Accept = false;
+    try {
+      Accept = validateStoreEntry(E, C.engine(), C.spec(), CFG, *Ck, Why);
+    } catch (const CertifyError &Err) {
+      // An injected cert-check fault (or checker budget exhaustion)
+      // while gating: the entry is unproven, treat it as rejected.
+      Why = std::string(certifyErrorKindName(Err.kind())) + ": " +
+            Err.message();
+    }
+    if (!Accept) {
+      ++R.Rejected;
+      ++R.Misses;
+      R.Incidents.push_back({Unit, "StoreEntryInvalid", Why});
+      Rejects.emplace_back(Unit, std::move(Why));
+      continue;
+    }
+    ++R.Hits;
+    Store.Hits.emplace(Unit, std::move(E));
   }
+  if (!Rejects.empty()) {
+    StoreUse Use(Cache, R);
+    for (const auto &[Unit, Why] : Rejects) {
+      if (!Use)
+        break;
+      try {
+        Use->evict(Store.Keys.at(Unit), Unit, Why);
+      } catch (const CertifyError &Err) {
+        R.Incidents.push_back({Unit, "StoreIO", Err.message()});
+      }
+    }
+  }
+  return Store;
 }
 
 } // namespace
@@ -801,106 +851,14 @@ CertificationReport Certifier::certify(const cj::Program &P,
   if (Diags.hasErrors())
     return Report;
 
-  // Persistent certificate store. Every analyzed unit must carry a
-  // certificate (an entry without one is unusable — the hit gate would
-  // reject it), so an active store forces emission on locally. The
-  // store serves and fills only the requested engine's rung: degraded
-  // fallback results are never persisted.
+  // The store serves and fills only the requested engine's rung:
+  // degraded fallback results are never persisted. Every analyzed unit
+  // must carry a certificate (an entry without one is unusable — the hit
+  // gate would reject it), so an active store forces emission on.
+  const StoreSession Store =
+      lookupStore(*SCache, *this, SpecHash, CFG, Report.Store);
   CertifierOptions EOpts = Opts;
-  if (!EOpts.StorePath.empty())
-    EOpts.EmitCertificates = true;
-
-  std::map<std::string, store::StoreEntry> StoreHits;
-  std::map<std::string, uint64_t> UnitHashes;
-  bool HaveStore = false;
-  if (!EOpts.StorePath.empty()) {
-    Report.Store.Enabled = true;
-    Report.Store.Path = EOpts.StorePath;
-    Report.Store.ReadOnly = EOpts.StoreMode == store::StoreMode::ReadOnly;
-    std::map<std::string, store::StoreEntry> Found;
-    {
-      StoreUse Use(*SCache, Report.Store);
-      HaveStore = Use.open(EOpts);
-      if (HaveStore) {
-        uint64_t &Ctx = Use.context();
-        if (!Ctx)
-          Ctx = store::contextFingerprint(SpecHash, Abs.str(),
-                                          engineName(Engine),
-                                          storeOptionsFingerprint(EOpts));
-        if (Engine == EngineKind::SCMPInterproc) {
-          UnitHashes[std::string()] = store::programInputHash(CFG, Ctx);
-        } else {
-          UnitHashes = store::methodInputHashes(CFG, Ctx);
-          if (EOpts.PointsTo) {
-            // The whole-program points-to pre-analysis couples every
-            // method to the full program (alias groups and closed-world
-            // reachability can shift under any edit), so fold the
-            // program hash into each per-method key.
-            const uint64_t ProgHash = store::programInputHash(CFG, Ctx);
-            for (auto &UnitAndHash : UnitHashes) {
-              cert::Writer W;
-              W.u64(UnitAndHash.second);
-              W.u64(ProgHash);
-              UnitAndHash.second =
-                  cert::fnv1a(W.buffer().data(), W.buffer().size());
-            }
-          }
-        }
-        for (const auto &[Unit, Hash] : UnitHashes) {
-          std::unique_ptr<store::StoreEntry> E;
-          try {
-            E = Use->get(Hash, Unit);
-          } catch (const CertifyError &Err) {
-            Report.Store.Incidents.push_back(
-                {Unit, "StoreIO", Err.message()});
-          }
-          if (E)
-            Found.emplace(Unit, std::move(*E));
-          else
-            ++Report.Store.Misses;
-        }
-      }
-    }
-    // The gate runs outside the store's lock: it is the expensive part
-    // of a hit, and the entries are private copies.
-    std::optional<cert::Checker> Ck;
-    std::vector<std::pair<std::string, std::string>> Rejects;
-    for (auto &[Unit, E] : Found) {
-      if (!Ck)
-        Ck.emplace(S, Abs, CFG);
-      std::string Why;
-      bool Accept = false;
-      try {
-        Accept = validateStoreEntry(E, Engine, S, CFG, *Ck, Why);
-      } catch (const CertifyError &Err) {
-        // An injected cert-check fault (or checker budget exhaustion)
-        // while gating: the entry is unproven, treat it as rejected.
-        Why = std::string(certifyErrorKindName(Err.kind())) + ": " +
-              Err.message();
-      }
-      if (!Accept) {
-        ++Report.Store.Rejected;
-        ++Report.Store.Misses;
-        Report.Store.Incidents.push_back({Unit, "StoreEntryInvalid", Why});
-        Rejects.emplace_back(Unit, std::move(Why));
-        continue;
-      }
-      ++Report.Store.Hits;
-      StoreHits.emplace(Unit, std::move(E));
-    }
-    if (!Rejects.empty()) {
-      StoreUse Use(*SCache, Report.Store);
-      for (const auto &[Unit, Why] : Rejects) {
-        if (!Use)
-          break;
-        try {
-          Use->evict(UnitHashes.at(Unit), Unit, Why);
-        } catch (const CertifyError &Err) {
-          Report.Store.Incidents.push_back({Unit, "StoreIO", Err.message()});
-        }
-      }
-    }
-  }
+  EOpts.EmitCertificates |= !Opts.StorePath.empty();
 
   // The degradation ladder, most precise/expensive first. The requested
   // engine is the first rung; with degradation on, every cheaper engine
@@ -909,18 +867,13 @@ CertificationReport Certifier::certify(const cj::Program &P,
       EngineKind::TVLARelational, EngineKind::TVLAIndependent,
       EngineKind::SCMPInterproc, EngineKind::SCMPIntra,
       EngineKind::GenericAllocSite};
-  std::vector<EngineKind> Rungs;
-  if (!Opts.Degrade) {
-    Rungs.push_back(Engine);
-  } else {
-    bool Found = false;
-    for (EngineKind K : Ladder) {
-      Found |= K == Engine;
-      if (Found)
-        Rungs.push_back(K);
-    }
-  }
+  const EngineKind *First =
+      std::find(std::begin(Ladder), std::end(Ladder), Engine);
+  const std::vector<EngineKind> Rungs =
+      Opts.Degrade ? std::vector<EngineKind>(First, std::end(Ladder))
+                   : std::vector<EngineKind>{Engine};
 
+  static const StoreHits NoHits;
   support::TaskPool Pool(Opts.Workers);
   std::string FirstFailure;
   for (EngineKind K : Rungs) {
@@ -939,50 +892,55 @@ CertificationReport Certifier::certify(const cj::Program &P,
       continue;
     }
 
-    support::StageBudget B = Opts.Budget;
     auto It = Opts.EngineBudgets.find(K);
-    if (It != Opts.EngineBudgets.end())
-      B = It->second;
-    support::CancelToken Tok(B, engineName(K));
+    support::CancelToken Tok(
+        It != Opts.EngineBudgets.end() ? It->second : Opts.Budget,
+        engineName(K));
     StageAttempt At;
     At.Engine = engineName(K);
     try {
       EngineRun Run;
-      runEngine(K, S, Abs, EOpts, CFG,
-                HaveStore && K == Engine ? &StoreHits : nullptr, PTCache.get(),
-                Diags, Tok, Pool, Run);
+      runEngine(K, S, Abs, EOpts, CFG, K == Engine ? Store.Hits : NoHits,
+                PTCache.get(), Diags, Tok, Pool, Run);
 
+      // With CheckCertificates, re-validate before accepting the rung: a
+      // rejected certificate means the rung's Proven verdicts are not
+      // independently justified, which is a structured failure (never a
+      // silent downgrade) and, with degradation on, falls down the
+      // ladder.
+      const cert::Checker Ck(S, Abs, CFG);
       CertificateStats CS;
       CS.EmitMicros = Run.EmitMicros;
-      for (const cert::Certificate &Cert : Run.Certs) {
+      CS.Checked = EOpts.EmitCertificates && EOpts.CheckCertificates;
+      for (const UnitRun &U : Run.Units) {
+        if (!U.Cert)
+          continue;
         ++CS.Count;
-        CS.Bytes += Cert.bytes();
-        CS.RawEntries += Cert.RawEntries;
-        CS.StoredEntries += Cert.StoredEntries;
+        CS.Bytes += U.Cert->bytes();
+        CS.RawEntries += U.Cert->RawEntries;
+        CS.StoredEntries += U.Cert->StoredEntries;
+        if (!CS.Checked)
+          continue;
+        cert::CheckResult CR = Ck.check(*U.Cert);
+        CS.CheckMicros += CR.Micros;
+        if (!CR.Valid)
+          throw CertifyError(CertifyErrorKind::CertificateInvalid,
+                             "certificate rejected: " + CR.Reason,
+                             engineName(K));
       }
-      if (EOpts.EmitCertificates && EOpts.CheckCertificates) {
-        // Re-validate before accepting the rung: a rejected certificate
-        // means the rung's Proven verdicts are not independently
-        // justified, which is a structured failure (never a silent
-        // downgrade) and, with degradation on, falls down the ladder.
-        cert::Checker Ck(S, Abs, CFG);
-        for (const cert::Certificate &Cert : Run.Certs) {
-          cert::CheckResult CR = Ck.check(Cert);
-          CS.CheckMicros += CR.Micros;
-          if (!CR.Valid)
-            throw CertifyError(CertifyErrorKind::CertificateInvalid,
-                               "certificate rejected: " + CR.Reason,
-                               engineName(K));
-        }
-        CS.Checked = true;
-      }
-      Report.Certificates = std::move(Run.Certs);
       Report.CertStats = CS;
 
       At.Completed = true;
       At.Spend = Tok.spend();
       Report.Stages.push_back(std::move(At));
-      Report.Checks = std::move(Run.Checks);
+      if (K == Engine)
+        commitStore(Store, Engine, Run.Units, Report.Store);
+      for (UnitRun &U : Run.Units) {
+        std::move(U.Checks.begin(), U.Checks.end(),
+                  std::back_inserter(Report.Checks));
+        if (U.Cert)
+          Report.Certificates.push_back(std::move(*U.Cert));
+      }
       Report.Lints = std::move(Run.Lints);
       Report.Pre = Run.Pre;
       Report.PointsTo = Run.PointsTo;
@@ -1007,44 +965,21 @@ CertificationReport Certifier::certify(const cj::Program &P,
             C.DegradeNote = Note;
           }
       }
-      if (HaveStore && K == Engine &&
-          EOpts.StoreMode == store::StoreMode::ReadWrite) {
-        const std::vector<store::StoreEntry> Entries =
-            buildStoreEntries(Engine, UnitHashes, StoreHits, Report);
-        StoreUse Use(*SCache, Report.Store);
-        for (const store::StoreEntry &E : Entries) {
-          if (!Use)
-            break;
-          try {
-            Use->put(E);
-            ++Report.Store.Writes;
-          } catch (const CertifyError &Err) {
-            // A failed commit never fails certification: the verdicts
-            // stand, the entry simply is not cached.
-            Report.Store.Incidents.push_back(
-                {E.Unit, "StoreIO", Err.message()});
-          }
-        }
-      }
       return Report;
     } catch (const CertifyError &E) {
-      At.Spend = Tok.spend();
+      if (!Opts.Degrade)
+        throw;
       At.FailReason =
           std::string(certifyErrorKindName(E.kind())) + ": " + E.message();
-      if (FirstFailure.empty())
-        FirstFailure = At.FailReason;
-      Report.Stages.push_back(std::move(At));
-      if (!Opts.Degrade)
-        throw;
     } catch (const std::bad_alloc &) {
-      At.Spend = Tok.spend();
-      At.FailReason = "allocation failure";
-      if (FirstFailure.empty())
-        FirstFailure = At.FailReason;
-      Report.Stages.push_back(std::move(At));
       if (!Opts.Degrade)
         throw;
+      At.FailReason = "allocation failure";
     }
+    At.Spend = Tok.spend();
+    if (FirstFailure.empty())
+      FirstFailure = At.FailReason;
+    Report.Stages.push_back(std::move(At));
   }
 
   // The floor: no engine ran to completion. Still return a report —

@@ -28,6 +28,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,6 +53,8 @@ enum class EngineKind {
 };
 
 const char *engineName(EngineKind K);
+/// The engine whose engineName() is \p Name, or nullopt.
+std::optional<EngineKind> parseEngineName(std::string_view Name);
 
 /// One requires obligation with its verdict (see core/Verdict.h): every
 /// engine reports through the same record, and the witness-bearing
@@ -221,16 +224,12 @@ struct CertifierOptions {
   support::StageBudget Budget;
   /// Per-engine overrides of Budget.
   std::map<EngineKind, support::StageBudget> EngineBudgets;
-  /// Worker bound for the per-method certification fan-out (engines that
-  /// analyze each client method independently run them concurrently on a
-  /// support::TaskPool). 0 means hardware_concurrency(). Reports are
-  /// merged in method-index order, so the report and diagnostic stream
-  /// are byte-identical for every worker count.
+  /// Worker bound for the certification fan-out: a rung's units (each
+  /// client method, or the whole program for SCMPInterproc) run
+  /// concurrently on a support::TaskPool. 0 means hardware_concurrency().
+  /// Reports are merged in unit order, so the report and diagnostic
+  /// stream are byte-identical for every worker count.
   unsigned Workers = 0;
-  /// Structures the relational TVLA engine keeps per program point
-  /// before joining overflow structures (tvla::TVLAOptions::
-  /// MaxStructuresPerPoint); lowering it trades precision for space.
-  unsigned TVLAMaxStructuresPerPoint = 256;
   /// Run the whole-program points-to & escape pre-analysis before the
   /// SCMPIntra engine: its per-method may-interfere groups replace the
   /// syntactic heap/havoc slicing gates, obligations of methods

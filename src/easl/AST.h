@@ -222,8 +222,6 @@ struct MethodDecl {
   std::vector<Param> Params;
   std::vector<StmtPtr> Body;
   SourceLoc Loc;
-
-  bool returnsValue() const { return ReturnType != "void" || IsConstructor; }
 };
 
 struct FieldDecl {

@@ -46,7 +46,6 @@ public:
   std::string typeOfPath(const PathExpr &P, DiagnosticEngine *Diags) const;
 
   const Spec &spec() const { return S; }
-  const ClassDecl &enclosingClass() const { return Class; }
   const MethodDecl &method() const { return Method; }
 
 private:

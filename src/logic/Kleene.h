@@ -39,25 +39,8 @@ inline Kleene kOr(Kleene A, Kleene B) {
   return Kleene::Half;
 }
 
-/// Kleene negation: swaps 0 and 1, fixes 1/2.
-inline Kleene kNot(Kleene A) {
-  if (A == Kleene::True)
-    return Kleene::False;
-  if (A == Kleene::False)
-    return Kleene::True;
-  return Kleene::Half;
-}
-
 /// Join in the information order: x |_| x = x, otherwise 1/2.
 inline Kleene kJoin(Kleene A, Kleene B) { return A == B ? A : Kleene::Half; }
-
-/// True if \p A is at most \p B in the information order (B is 1/2 or
-/// A == B). Used by the structure-embedding check.
-inline Kleene kleeneFromInt(int V) {
-  return V == 0 ? Kleene::False : V == 1 ? Kleene::True : Kleene::Half;
-}
-
-inline bool kLeq(Kleene A, Kleene B) { return A == B || B == Kleene::Half; }
 
 inline char kleeneChar(Kleene A) {
   switch (A) {

@@ -1,5 +1,6 @@
 #include "shard/Driver.h"
 
+#include "support/Json.h"
 #include "support/Subprocess.h"
 
 #include <algorithm>
@@ -13,40 +14,7 @@
 
 using namespace canvas;
 using namespace canvas::shard;
-
-namespace {
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
-} // namespace
+using support::jsonEscape;
 
 std::string shard::jsonlRows(const ResultMsg &R) {
   std::string Out;

@@ -83,15 +83,10 @@ bool shard::parseWorkerFlag(const std::string &Arg, WorkerOptions &O) {
     return true;
   }
   if (Value("--engine=", V)) {
-    for (core::EngineKind K :
-         {core::EngineKind::SCMPIntra, core::EngineKind::SCMPInterproc,
-          core::EngineKind::TVLAIndependent, core::EngineKind::TVLARelational,
-          core::EngineKind::GenericAllocSite})
-      if (V == core::engineName(K)) {
-        O.Engine = K;
-        return true;
-      }
-    return false;
+    const std::optional<core::EngineKind> K = core::parseEngineName(V);
+    if (K)
+      O.Engine = *K;
+    return K.has_value();
   }
   if (Arg == "--points-to") {
     O.PointsTo = true;

@@ -2,6 +2,8 @@
 
 #include "cert/Certificate.h"
 
+#include <set>
+
 using namespace canvas;
 using namespace canvas::store;
 
@@ -117,12 +119,16 @@ std::map<std::string, uint64_t>
 store::methodInputHashes(const cj::ClientCFG &CFG, uint64_t Context) {
   ClosureWalk Walk(CFG);
   std::map<std::string, uint64_t> Out;
+  std::set<std::string> Shared;
   for (const cj::CFGMethod &M : CFG.Methods) {
     cert::Writer W;
     W.u64(Context);
     W.u64(Walk.closure(M));
-    Out[M.name()] = hashBuffer(W, 0xcbf29ce484222325ull);
+    if (!Out.emplace(M.name(), hashBuffer(W, 0xcbf29ce484222325ull)).second)
+      Shared.insert(M.name());
   }
+  for (const std::string &Name : Shared)
+    Out.erase(Name);
   return Out;
 }
 

@@ -54,7 +54,10 @@ uint64_t contextFingerprint(uint64_t SpecHash, const std::string &AbsText,
 /// locations, component variables, parameters), and the closure of its
 /// resolved client callees; an on-stack cycle folds the callee's name
 /// only, which is sound because every member of the cycle already
-/// folds every other member's local hash transitively.
+/// folds every other member's local hash transitively. A name that
+/// several methods share gets no hash: entries are looked up, gated
+/// and served by unit name, so such a name identifies no one method,
+/// and those methods bypass the store.
 std::map<std::string, uint64_t> methodInputHashes(const cj::ClientCFG &CFG,
                                                   uint64_t Context);
 

@@ -1,7 +1,6 @@
 #include "support/Subprocess.h"
 
 #include <cerrno>
-#include <csignal>
 #include <cstring>
 
 #include <fcntl.h>
@@ -91,11 +90,6 @@ int support::waitProcess(pid_t Pid) {
   if (WIFSIGNALED(Status))
     return -WTERMSIG(Status);
   return -1000;
-}
-
-void support::killProcess(pid_t Pid) {
-  if (Pid > 0)
-    ::kill(Pid, SIGKILL);
 }
 
 bool support::writeAll(int Fd, const uint8_t *Data, size_t Size) {

@@ -46,9 +46,6 @@ bool spawnProcess(const std::vector<std::string> &Argv,
 /// signal death, -signo. Returns -1000 on wait failure.
 int waitProcess(pid_t Pid);
 
-/// Sends SIGKILL; reaping is still the caller's job.
-void killProcess(pid_t Pid);
-
 /// Writes exactly \p Size bytes, retrying on EINTR / partial writes.
 /// False on any hard error (EPIPE when the child died, etc.).
 bool writeAll(int Fd, const uint8_t *Data, size_t Size);

@@ -1,8 +1,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A bounded worker pool for the certification fan-out: independent
-/// per-method analyses on one ladder rung run concurrently,
+/// A bounded worker pool for the certification fan-out: the independent
+/// units (client methods) of one ladder rung run concurrently,
 /// while the supervisor, report merging, and everything the tasks
 /// observe stays deterministic:
 ///
@@ -56,10 +56,6 @@ public:
 
   /// The effective worker bound (never 0).
   unsigned workers() const { return NumWorkers; }
-
-  /// Worker threads currently alive (0 until the first parallel batch;
-  /// test observability).
-  size_t spawnedWorkers() const { return Threads.size(); }
 
   /// Runs every task to completion and returns. Tasks run concurrently
   /// on up to workers() threads (inline when 1). If tasks threw, the

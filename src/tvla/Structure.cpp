@@ -117,14 +117,6 @@ Kleene Structure::at(int Pred, const std::vector<unsigned> &Tuple) const {
   return binary(Pred, Tuple[0], Tuple[1]);
 }
 
-void Structure::setAt(int Pred, const std::vector<unsigned> &Tuple,
-                      Kleene V) {
-  if (Tuple.size() == 1)
-    setUnary(Pred, Tuple[0], V);
-  else
-    setBinary(Pred, Tuple[0], Tuple[1], V);
-}
-
 void Structure::resizeNodes(unsigned NewN) {
   assert(NewN >= N && "resizeNodes only grows the universe");
   if (NewN == N)

@@ -97,7 +97,6 @@ public:
 
   /// Value of predicate \p Pred at \p Tuple (arity 1 or 2).
   Kleene at(int Pred, const std::vector<unsigned> &Tuple) const;
-  void setAt(int Pred, const std::vector<unsigned> &Tuple, Kleene V);
 
   /// Adds a fresh non-summary individual with all predicate values 0;
   /// returns its index.

@@ -84,13 +84,6 @@ DerivedAbstraction::findMethod(const std::string &ClassName,
   return nullptr;
 }
 
-int DerivedAbstraction::findFamily(const std::string &Key) const {
-  for (size_t I = 0; I != Families.size(); ++I)
-    if (Families[I].Key == Key)
-      return static_cast<int>(I);
-  return -1;
-}
-
 std::string DerivedAbstraction::str() const {
   std::string Out = "Instrumentation predicate families:\n";
   for (const PredicateFamily &F : Families)

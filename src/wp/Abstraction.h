@@ -123,8 +123,6 @@ struct DerivedAbstraction {
 
   const MethodAbstraction *findMethod(const std::string &ClassName,
                                       const std::string &MethodName) const;
-  /// Index of the family with the given canonical key, or -1.
-  int findFamily(const std::string &Key) const;
   /// Renders the Fig. 4 + Fig. 5 analogue.
   std::string str() const;
 };

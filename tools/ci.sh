@@ -39,8 +39,10 @@ step "asan: tvla / boolprog / cert suites (arena + packed-word paths)"
 # those paths (plus their reset-reuse and differential regression
 # tests) as a named ASan pass so a use-after-reset or overflow in the
 # packed codecs is called out here, not buried in the full suite.
+# ParallelEngine adds the certifier's per-unit fan-out, including units
+# answered from the certificate store.
 run_ctest --preset sanitize -j "$JOBS" \
-  -R 'Arena|StateVec|Structure|TVLA|Intraprocedural|Interprocedural|Witness|Cert|Checker|SlicePartition|BuildGolden|CorpusWitness|PreAnalysisDifferential|PointsToReport'
+  -R 'Arena|StateVec|Structure|TVLA|Intraprocedural|Interprocedural|Witness|Cert|Checker|SlicePartition|BuildGolden|CorpusWitness|PreAnalysisDifferential|PointsToReport|ParallelEngine'
 
 step "perfbench package: build + helper tests"
 # perfbench/ is a CMake package of its own (it builds ../src with the
