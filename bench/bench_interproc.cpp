@@ -6,15 +6,24 @@
 // false alarms the intraprocedural engine produces at call boundaries
 // while still catching the real cross-procedure bugs.
 //
+// Then the engine's cost on the 13 bench-suite clients: per client the
+// min-of-N certify() time of scmp-interproc and of scmp-intra (each
+// engine timed in its own loop) with the IFDS counters, as the
+// "interproc-suite" BENCH_JSON line that tools/bench_capture.sh
+// snapshots and tools/ci.sh gates on.
+//
 //===----------------------------------------------------------------------===//
 
 #include "core/Certifier.h"
 #include "core/Evaluation.h"
 #include "easl/Builtins.h"
 
+#include "Suite.h"
+
 #include <benchmark/benchmark.h>
 #include <chrono>
 #include <cstdio>
+#include <thread>
 
 using namespace canvas;
 using namespace canvas::core;
@@ -164,6 +173,65 @@ void printTable() {
   std::printf("\nBENCH_JSON %s\n\n", Json.c_str());
 }
 
+/// The interproc-suite series. The µs and ratio columns are timings;
+/// every other column is deterministic.
+void printSuiteCost() {
+  constexpr int Warmup = 3, Reps = 60;
+  std::printf("=== scmp-interproc cost on the bench suite (min of %d) ===\n",
+              Reps);
+  std::printf("%-20s %10s %10s %6s %6s %8s %9s %10s %9s %7s\n", "client",
+              "intra-us", "inter-us", "ratio", "checks", "flagged", "pops",
+              "exploded", "path-edges", "summaries");
+  std::string Json = "{\"bench\":\"interproc-suite\",\"clients\":[";
+  double InterTotal = 0, IntraTotal = 0;
+  bool First = true;
+  for (const bench::BenchClient &Client : bench::cmpSuite()) {
+    double Us[2] = {0, 0};
+    CertificationReport Inter;
+    for (EngineKind K : {EngineKind::SCMPInterproc, EngineKind::SCMPIntra}) {
+      DiagnosticEngine Diags;
+      Certifier C(easl::cmpSpecSource(), K, Diags);
+      cj::Program P = cj::parseProgram(Client.Source, Diags);
+      CertificationReport R;
+      Us[K == EngineKind::SCMPIntra] = bench::minOfN(
+          [&] {
+            DiagnosticEngine D2;
+            R = C.certify(P, D2);
+          },
+          Warmup, Reps);
+      if (K == EngineKind::SCMPInterproc)
+        Inter = std::move(R);
+    }
+    InterTotal += Us[0];
+    IntraTotal += Us[1];
+    const InterprocStats &S = Inter.Inter;
+    std::printf("%-20s %10.1f %10.1f %6.2f %6zu %8u %9u %10zu %9zu %7zu\n",
+                Client.Name, Us[1], Us[0], Us[0] / Us[1], Inter.numChecks(),
+                Inter.numFlagged(), S.SummaryIterations, S.ExplodedNodes,
+                S.PathEdges, S.Summaries);
+    char Buf[512];
+    std::snprintf(Buf, sizeof(Buf),
+                  "%s{\"name\":\"%s\",\"interproc_us\":%.1f,"
+                  "\"intra_us\":%.1f,\"path_edges\":%zu,\"summaries\":%zu,"
+                  "\"visits\":%u,\"exploded_nodes\":%zu,\"flagged\":%u}",
+                  First ? "" : ",", Client.Name, Us[0], Us[1], S.PathEdges,
+                  S.Summaries, S.SummaryIterations, S.ExplodedNodes,
+                  Inter.numFlagged());
+    Json += Buf;
+    First = false;
+  }
+  std::printf("%-20s %10.1f %10.1f %6.2f\n", "total", IntraTotal, InterTotal,
+              InterTotal / IntraTotal);
+  char Buf[256];
+  std::snprintf(Buf, sizeof(Buf),
+                "],\"interproc_total_us\":%.1f,\"intra_total_us\":%.1f,"
+                "\"reps\":%d,\"nproc\":%u,\"build_type\":\"%s\"}",
+                InterTotal, IntraTotal, Reps,
+                std::thread::hardware_concurrency(), CANVAS_BUILD_TYPE);
+  Json += Buf;
+  std::printf("\nBENCH_JSON %s\n\n", Json.c_str());
+}
+
 void BM_Interproc(benchmark::State &State) {
   const Prog &P = Programs[State.range(0)];
   DiagnosticEngine Diags;
@@ -183,6 +251,7 @@ BENCHMARK(BM_Interproc)->DenseRange(0, 5)->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char **argv) {
   printTable();
+  printSuiteCost();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

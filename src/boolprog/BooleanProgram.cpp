@@ -51,26 +51,10 @@ std::string BooleanProgram::str() const {
   return Out;
 }
 
-wp::Folded BooleanProgram::instance(int Family,
-                                    const std::vector<std::string> &Args,
+wp::Folded BooleanProgram::instance(int Family, const int *Args,
                                     int &VarOut) const {
-  // Names this program never met get indices past KeyNames: they still
-  // shape the aliasing pattern, but no variable mentions them.
-  std::vector<std::string> Unknown;
-  int Idx[MaxSlots] = {};
-  for (size_t I = 0; I != Args.size(); ++I) {
-    auto It = std::find(KeyNames.begin(), KeyNames.end(), Args[I]);
-    if (It != KeyNames.end()) {
-      Idx[I] = static_cast<int>(It - KeyNames.begin());
-      continue;
-    }
-    auto U = std::find(Unknown.begin(), Unknown.end(), Args[I]);
-    if (U == Unknown.end())
-      U = Unknown.insert(U, Args[I]);
-    Idx[I] = static_cast<int>(KeyNames.size() + (U - Unknown.begin()));
-  }
   InstanceKey Key;
-  wp::Folded F = Abs->Templates.fold(Family, Idx, Key);
+  wp::Folded F = Abs->Templates.fold(Family, Args, Key);
   if (F != wp::Folded::Var)
     return F;
   auto It = VarOf.find(Key);

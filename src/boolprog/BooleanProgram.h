@@ -86,11 +86,12 @@ struct BooleanProgram {
   /// Instance key -> Vars index.
   std::unordered_map<wp::InstanceKey, int, wp::InstanceKeyHash> VarOf;
 
-  /// Folds instance Family(Args) over client-variable names; for
+  /// Folds instance Family(Args) over KeyNames indices, one per slot
+  /// of the family; an index past KeyNames stands for a name this
+  /// program never met (distinct names, distinct indices). For
   /// wp::Folded::Var, \p VarOut is the variable it denotes, or -1 when
   /// this program has none.
-  wp::Folded instance(int Family, const std::vector<std::string> &Args,
-                      int &VarOut) const;
+  wp::Folded instance(int Family, const int *Args, int &VarOut) const;
   std::string str() const;
 };
 

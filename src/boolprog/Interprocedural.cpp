@@ -8,8 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <map>
-#include <set>
+#include <unordered_map>
 
 using namespace canvas;
 using namespace canvas::bp;
@@ -43,32 +42,65 @@ namespace detail {
 
 /// Per-method analysis artifacts: the ghost-extended CFG, its boolean
 /// program, and the exploded-edge reading of the program's assignments.
+/// Client variables are BP.KeyNames indices throughout.
 struct MethodInfo {
   const cj::CFGMethod *Orig = nullptr;
   /// CFG copy with ghost variables appended to CompVars.
   cj::CFGMethod Ext;
   BooleanProgram BP;
-  /// Ghost variable names per component type (two each).
-  std::map<std::string, std::array<std::string, 2>> Ghosts;
   std::vector<EdgeFlow> Flows;
   /// Per edge, the checked variables refined to 0 past their check.
   std::vector<std::vector<char>> Kills;
+  /// The key tables below are filled for methods at either end of a
+  /// call site. Per boolean variable, its family arguments.
+  bool Indexed = false;
+  std::vector<std::array<int, wp::MaxSlots>> VarArgs;
+  /// Per key: the component variable's type (an index into
+  /// InterprocProblem::Types), or -1.
+  std::vector<int> TypeOf;
+  /// Per key: a ghost variable.
+  std::vector<char> IsGhost;
+  /// Per type: its component variables, in CompVars order, and its two
+  /// ghosts.
+  std::vector<std::vector<int>> VarsOfType;
+  std::vector<std::array<int, 2>> Ghosts;
+
+  /// The key of client variable \p Name, or -1.
+  int keyOf(const std::string &Name) const {
+    auto It = std::find(BP.KeyNames.begin(), BP.KeyNames.end(), Name);
+    return It == BP.KeyNames.end()
+               ? -1
+               : static_cast<int>(It - BP.KeyNames.begin());
+  }
 };
 
-/// Caller-to-callee renaming of one variable tuple: actuals become
-/// formals, the call result becomes $ret, everything else becomes a
-/// ghost (at most two distinct ghosts per type).
+/// The ghosts one caller variable's tuple binds in the callee: callee
+/// ghost key -> the caller key it stands for.
 struct TupleMap {
-  std::vector<std::string> CalleeArgs;
-  /// Ghost name -> caller variable, for the inverse translation.
-  std::map<std::string, std::string> GhostToCaller;
+  unsigned NumGhosts = 0;
+  std::array<std::pair<int, int>, wp::MaxSlots> GhostToCaller;
+
+  int callerOf(int Ghost) const {
+    for (unsigned I = 0; I != NumGhosts; ++I)
+      if (GhostToCaller[I].first == Ghost)
+        return GhostToCaller[I].second;
+    return -1;
+  }
 };
 
 /// Precomputed call-site translation tables for one ClientCall edge
 /// with a known callee. Facts are 0 = Lambda, 1+v = boolean variable v.
 struct CallTable {
+  int Caller = -1;
   int Callee = -1;
-  const cj::Action *Call = nullptr;
+  /// The call's operands as keys: per argument position bound on both
+  /// sides, the formal's callee key and the actual's caller key (-1
+  /// for an empty actual); and the result's caller key (-1 for none)
+  /// with the callee key of $ret. A name a program never met has a key
+  /// past its KeyNames.
+  std::vector<std::pair<int, int>> Bindings; ///< (formal, actual).
+  int Lhs = -1;
+  int Ret = -1;
   /// FeedOut[caller fact] -> callee entry facts it genuinely feeds
   /// (the inverted calleeEntryFactMay1 relation).
   std::vector<std::vector<int>> FeedOut;
@@ -76,13 +108,24 @@ struct CallTable {
   /// flow Lambda -> 1+B across the call unconditionally.
   std::vector<int> Bypass;
   /// Callee var c -> caller vars B whose tuple maps onto c.
-  std::map<int, std::vector<int>> SummaryTargets;
-  /// Tuple map per mapped caller var.
-  std::map<int, TupleMap> TMs;
-  /// Memoized return-translation feeders per (caller var B, callee
-  /// entry var e): caller facts whose 1-ness lets summary entry fact
-  /// 1+e contribute to 1+B.
-  mutable std::map<std::pair<int, int>, std::vector<int>> Feeders;
+  std::vector<std::vector<int>> SummaryTargets;
+  /// Tuple map per caller var (meaningful for mapped vars).
+  std::vector<TupleMap> TMs;
+  /// Memoized return-translation feeder per caller var B and callee
+  /// entry var e (rows allocated on first use): the caller fact whose
+  /// 1-ness lets summary entry fact 1+e contribute to 1+B, or NoFeeder.
+  mutable std::vector<std::vector<int>> Feeders;
+
+  /// The callee key a caller key binds to directly ($ret or a formal),
+  /// or -1.
+  int directTarget(int Key) const {
+    if (Lhs >= 0 && Key == Lhs)
+      return Ret;
+    for (const auto &[Formal, Actual] : Bindings)
+      if (Actual == Key)
+        return Formal;
+    return -1;
+  }
 };
 
 class InterprocProblem : public ifds::Problem {
@@ -118,19 +161,16 @@ public:
     applyEdgeFlow(Infos[P].Flows[Edge], Fact, K.empty() ? nullptr : &K, Out);
   }
 
-  void flowCall(int P, int Edge, int Fact,
-                std::vector<int> &Out) const override {
-    const CallTable &CT = Tables[P].at(Edge);
-    Out = CT.FeedOut[Fact];
+  std::span<const int> flowCall(int P, int Edge, int Fact) const override {
+    return table(P, Edge).FeedOut[Fact];
   }
 
   void flowCallToReturn(int P, int Edge, int Fact,
                         std::vector<int> &Out) const override {
     if (Fact != ifds::LambdaFact)
       return;
-    const CallTable &CT = Tables[P].at(Edge);
     Out.push_back(ifds::LambdaFact);
-    for (int B : CT.Bypass)
+    for (int B : table(P, Edge).Bypass)
       Out.push_back(1 + B);
   }
 
@@ -138,11 +178,8 @@ public:
                    int CalleeExitFact, std::vector<int> &Out) const override {
     if (CalleeExitFact == ifds::LambdaFact)
       return; // Reachability crosses via flowCallToReturn.
-    const CallTable &CT = Tables[P].at(Edge);
-    auto It = CT.SummaryTargets.find(CalleeExitFact - 1);
-    if (It == CT.SummaryTargets.end())
-      return;
-    for (int B : It->second) {
+    const CallTable &CT = table(P, Edge);
+    for (int B : CT.SummaryTargets[CalleeExitFact - 1]) {
       if (CalleeEntryFact == ifds::LambdaFact) {
         // An unconditional callee fact: flows whenever the call site
         // is reached.
@@ -150,9 +187,7 @@ public:
           Out.push_back(1 + B);
         continue;
       }
-      const std::vector<int> &F =
-          feedersOf(P, CT, B, CalleeEntryFact - 1);
-      if (std::find(F.begin(), F.end(), Fact) != F.end())
+      if (feederOf(CT, B, CalleeEntryFact - 1) == Fact)
         Out.push_back(1 + B);
     }
   }
@@ -162,83 +197,88 @@ public:
   const std::vector<MethodInfo> &infos() const { return Infos; }
 
 private:
+  static constexpr int NoFeeder = -1;
+  static constexpr int Unset = -2;
+
+  const CallTable &table(int P, int Edge) const {
+    return Calls[TableOf[P][Edge]];
+  }
+
   void build(const cj::ClientCFG &CFG, const cj::CFGMethod &Entry,
              DiagnosticEngine &Diags);
-  void buildCallTable(int CallerIdx, int EdgeIdx, const cj::Action &Call,
-                      int CalleeIdx);
-
-  int indexOf(const cj::CMethod *M) const {
-    for (size_t I = 0; I != Infos.size(); ++I)
-      if (Infos[I].Orig->Method == M)
-        return static_cast<int>(I);
-    return -1;
-  }
+  void indexKeys(MethodInfo &Info) const;
+  CallTable buildCallTable(int CallerIdx, const cj::Action &Call,
+                           int CalleeIdx) const;
 
   static bool isGhost(const std::string &Name) {
     return Name.size() > 3 && Name[0] == '$' && Name[1] == 'g';
   }
 
-  static std::string typeOfVarIn(const MethodInfo &Info,
-                                 const std::string &V) {
-    for (const auto &[Name, T] : Info.Ext.CompVars)
-      if (Name == V)
-        return T;
-    return "";
-  }
-
+  /// Maps caller var \p B's tuple into the callee: actuals become
+  /// formals, the call result becomes $ret, everything else becomes a
+  /// ghost (at most two distinct ghosts per type). Fills \p CalleeArgs
+  /// and \p TM; false when the tuple is not mappable.
   bool mapTuple(const MethodInfo &Caller, const MethodInfo &Callee,
-                const cj::Action &Call, const std::vector<std::string> &Args,
-                TupleMap &Out) const;
+                const CallTable &CT, int B, int *CalleeArgs,
+                TupleMap &TM) const;
 
   /// Looks up the boolvar for (Family, Args) in \p Info. Returns 0 for
   /// constant-false, 1 for constant-true (or unknown, conservatively),
   /// 2 for a variable (set in \p VarOut).
-  int instantiateIn(const MethodInfo &Info, int Family,
-                    const std::vector<std::string> &Args, int &VarOut) const;
+  static int instantiateIn(const MethodInfo &Info, int Family,
+                           const int *Args, int &VarOut);
 
   /// Caller facts genuinely feeding callee entry fact 1+e at this call
-  /// site: the inverted per-tuple enumeration of the functional engine
-  /// (slot order matters — the first decisive slot wins, matching the
-  /// original formulation exactly).
-  std::vector<int> factFeeders(const MethodInfo &Caller,
-                               const MethodInfo &Callee,
-                               const cj::Action &Call, int CalleeFact) const;
+  /// site, sorted: the inverted per-tuple enumeration of the functional
+  /// engine (slot order matters — the first decisive slot wins,
+  /// matching the original formulation exactly).
+  void factFeeders(const MethodInfo &Caller, const MethodInfo &Callee,
+                   const CallTable &CT, int CalleeVar,
+                   std::vector<int> &Out) const;
 
-  /// Caller facts through which summary entry fact 1+e reaches caller
-  /// var B at return: the translate-back of the functional engine.
-  const std::vector<int> &feedersOf(int CallerIdx, const CallTable &CT,
-                                    int B, int CalleeEntryVar) const;
+  /// The caller fact through which summary entry fact 1+e reaches
+  /// caller var B at return (the translate-back of the functional
+  /// engine), or NoFeeder.
+  int feederOf(const CallTable &CT, int B, int CalleeEntryVar) const;
 
   const DerivedAbstraction &Abs;
   std::vector<MethodInfo> Infos;
   std::vector<ifds::ProcView> Views;
-  /// Per (proc, edge) call tables for known-callee ClientCall edges.
-  std::vector<std::map<int, CallTable>> Tables;
+  /// Component types mentioned by any predicate family, and per family
+  /// slot its type's index here.
+  std::vector<std::string> Types;
+  std::vector<std::vector<int>> SlotType;
+  /// Call tables of the known-callee ClientCall edges, and per
+  /// (proc, edge) the index of the edge's table in Calls (-1 for none).
+  std::vector<CallTable> Calls;
+  std::vector<std::vector<int>> TableOf;
   int EntryIdx = -1;
 };
 
 void InterprocProblem::build(const cj::ClientCFG &CFG,
                              const cj::CFGMethod &Entry,
                              DiagnosticEngine &Diags) {
-  // Component types mentioned by any predicate family.
-  std::vector<std::string> Types;
-  for (const PredicateFamily &F : Abs.Families)
-    for (const std::string &T : F.VarTypes)
-      if (std::find(Types.begin(), Types.end(), T) == Types.end())
+  SlotType.resize(Abs.Families.size());
+  for (size_t F = 0; F != Abs.Families.size(); ++F)
+    for (const std::string &T : Abs.Families[F].VarTypes) {
+      auto It = std::find(Types.begin(), Types.end(), T);
+      SlotType[F].push_back(static_cast<int>(It - Types.begin()));
+      if (It == Types.end())
         Types.push_back(T);
+    }
 
+  std::unordered_map<const cj::CMethod *, int> ProcOf;
+  Infos.reserve(CFG.Methods.size());
   for (const cj::CFGMethod &M : CFG.Methods) {
     MethodInfo Info;
     Info.Orig = &M;
     Info.Ext = M; // Copy; Edges/CompVars are value types.
-    for (const std::string &T : Types) {
-      std::array<std::string, 2> Names = {"$g0$" + T, "$g1$" + T};
-      for (const std::string &G : Names)
-        Info.Ext.CompVars.emplace_back(G, T);
-      Info.Ghosts.emplace(T, Names);
-    }
+    for (const std::string &T : Types)
+      for (const char *G : {"$g0$", "$g1$"})
+        Info.Ext.CompVars.emplace_back(G + T, T);
     if (&M == &Entry)
       EntryIdx = static_cast<int>(Infos.size());
+    ProcOf.emplace(M.Method, static_cast<int>(Infos.size()));
     Infos.push_back(std::move(Info));
   }
   for (MethodInfo &Info : Infos) {
@@ -248,71 +288,102 @@ void InterprocProblem::build(const cj::ClientCFG &CFG,
   }
 
   Views.resize(Infos.size());
-  Tables.resize(Infos.size());
+  TableOf.resize(Infos.size());
   for (size_t P = 0; P != Infos.size(); ++P) {
     const cj::CFGMethod &M = Infos[P].Ext;
     ifds::ProcView &V = Views[P];
     V.Entry = M.Entry;
     V.Exit = M.Exit;
     V.NumNodes = M.NumNodes;
+    TableOf[P].assign(M.Edges.size(), -1);
     for (size_t E = 0; E != M.Edges.size(); ++E) {
       const cj::CFGEdge &Edge = M.Edges[E];
       int Callee = -1;
-      if (Edge.Act.K == cj::Action::Kind::ClientCall)
-        Callee = indexOf(Edge.Act.CalleeMethod);
+      if (Edge.Act.K == cj::Action::Kind::ClientCall) {
+        auto It = ProcOf.find(Edge.Act.CalleeMethod);
+        if (It != ProcOf.end())
+          Callee = It->second;
+      }
       V.Edges.push_back({Edge.From, Edge.To, Callee});
-      if (Callee >= 0)
-        buildCallTable(static_cast<int>(P), static_cast<int>(E), Edge.Act,
-                       Callee);
+      if (Callee >= 0) {
+        indexKeys(Infos[P]);
+        indexKeys(Infos[Callee]);
+        TableOf[P][E] = static_cast<int>(Calls.size());
+        Calls.push_back(
+            buildCallTable(static_cast<int>(P), Edge.Act, Callee));
+      }
     }
   }
 }
 
+void InterprocProblem::indexKeys(MethodInfo &Info) const {
+  const BooleanProgram &BP = Info.BP;
+  if (Info.Indexed)
+    return;
+  Info.Indexed = true;
+  Info.VarArgs.resize(BP.Vars.size());
+  for (size_t V = 0; V != BP.Vars.size(); ++V)
+    for (size_t S = 0; S != BP.Vars[V].Args.size(); ++S)
+      Info.VarArgs[V][S] = Info.keyOf(BP.Vars[V].Args[S]);
+  Info.TypeOf.assign(BP.KeyNames.size(), -1);
+  Info.IsGhost.resize(BP.KeyNames.size());
+  for (size_t K = 0; K != BP.KeyNames.size(); ++K)
+    Info.IsGhost[K] = isGhost(BP.KeyNames[K]);
+  Info.VarsOfType.resize(Types.size());
+  Info.Ghosts.resize(Types.size());
+  for (const auto &[Name, T] : Info.Ext.CompVars) {
+    const int Key = Info.keyOf(Name);
+    auto It = std::find(Types.begin(), Types.end(), T);
+    if (Key < 0 || It == Types.end())
+      continue;
+    const auto TI = It - Types.begin();
+    Info.TypeOf[Key] = static_cast<int>(TI);
+    Info.VarsOfType[TI].push_back(Key);
+  }
+  for (size_t TI = 0; TI != Types.size(); ++TI)
+    Info.Ghosts[TI] = {Info.keyOf("$g0$" + Types[TI]),
+                       Info.keyOf("$g1$" + Types[TI])};
+}
+
 bool InterprocProblem::mapTuple(const MethodInfo &Caller,
-                                const MethodInfo &Callee,
-                                const cj::Action &Call,
-                                const std::vector<std::string> &Args,
-                                TupleMap &Out) const {
-  std::map<std::string, unsigned> GhostsUsed;
-  std::map<std::string, std::string> Assigned;
-  for (const std::string &A : Args) {
-    auto It = Assigned.find(A);
-    if (It != Assigned.end()) {
-      Out.CalleeArgs.push_back(It->second);
+                                const MethodInfo &Callee, const CallTable &CT,
+                                int B, int *CalleeArgs, TupleMap &TM) const {
+  const std::array<int, wp::MaxSlots> &Args = Caller.VarArgs[B];
+  const size_t Arity = Caller.BP.Vars[B].Args.size();
+  // Ghosts handed out per type, for the types this tuple has met.
+  std::array<std::pair<int, unsigned>, wp::MaxSlots> Used;
+  size_t NumUsed = 0;
+  for (size_t S = 0; S != Arity; ++S) {
+    const int A = Args[S];
+    size_t Prev = 0;
+    while (Prev != S && Args[Prev] != A)
+      ++Prev;
+    if (Prev != S) { // A repeated name maps where it did first.
+      CalleeArgs[S] = CalleeArgs[Prev];
       continue;
     }
-    std::string Mapped;
-    if (!Call.Lhs.empty() && A == Call.Lhs) {
-      Mapped = "$ret";
-    } else {
-      for (size_t I = 0;
-           I != Call.Args.size() && I != Call.CalleeMethod->Params.size();
-           ++I)
-        if (Call.Args[I] == A && !Call.Args[I].empty()) {
-          Mapped = Call.CalleeMethod->Params[I].Name;
-          break;
-        }
-    }
-    if (Mapped.empty()) {
-      std::string T = typeOfVarIn(Caller, A);
-      auto GIt = Callee.Ghosts.find(T);
-      if (GIt == Callee.Ghosts.end())
+    int Mapped = CT.directTarget(A);
+    if (Mapped < 0) {
+      const int T = Caller.TypeOf[A];
+      if (T < 0)
         return false;
-      unsigned &Used = GhostsUsed[T];
-      if (Used >= 2)
+      size_t U = 0;
+      while (U != NumUsed && Used[U].first != T)
+        ++U;
+      if (U == NumUsed)
+        Used[NumUsed++] = {T, 0};
+      if (Used[U].second >= 2)
         return false;
-      Mapped = GIt->second[Used++];
-      Out.GhostToCaller[Mapped] = A;
+      Mapped = Callee.Ghosts[T][Used[U].second++];
+      TM.GhostToCaller[TM.NumGhosts++] = {Mapped, A};
     }
-    Assigned.emplace(A, Mapped);
-    Out.CalleeArgs.push_back(Mapped);
+    CalleeArgs[S] = Mapped;
   }
   return true;
 }
 
 int InterprocProblem::instantiateIn(const MethodInfo &Info, int Family,
-                                    const std::vector<std::string> &Args,
-                                    int &VarOut) const {
+                                    const int *Args, int &VarOut) {
   switch (Info.BP.instance(Family, Args, VarOut)) {
   case Folded::False:
     return 0;
@@ -324,157 +395,164 @@ int InterprocProblem::instantiateIn(const MethodInfo &Info, int Family,
   return VarOut < 0 ? 1 : 2; // Unknown instance: conservative.
 }
 
-std::vector<int> InterprocProblem::factFeeders(const MethodInfo &Caller,
-                                               const MethodInfo &Callee,
-                                               const cj::Action &Call,
-                                               int CalleeFact) const {
-  const BoolVar &BV = Callee.BP.Vars[CalleeFact];
-  std::vector<std::vector<std::string>> Cands(BV.Args.size());
-  for (size_t I = 0; I != BV.Args.size(); ++I) {
-    const std::string &V = BV.Args[I];
-    if (isGhost(V)) {
+void InterprocProblem::factFeeders(const MethodInfo &Caller,
+                                   const MethodInfo &Callee,
+                                   const CallTable &CT, int CalleeVar,
+                                   std::vector<int> &Out) const {
+  Out.clear();
+  const BoolVar &BV = Callee.BP.Vars[CalleeVar];
+  const size_t Arity = BV.Args.size();
+  // Candidate caller keys per slot.
+  std::array<std::span<const int>, wp::MaxSlots> Cands;
+  std::array<int, wp::MaxSlots> Actual;
+  for (size_t I = 0; I != Arity; ++I) {
+    const int V = Callee.VarArgs[CalleeVar][I];
+    if (Callee.IsGhost[V]) {
       // An arbitrary caller object of the slot's type.
-      const PredicateFamily &Fam = Abs.Families[BV.Family];
-      for (const auto &[Name, T] : Caller.Ext.CompVars)
-        if (T == Fam.VarTypes[I])
-          Cands[I].push_back(Name);
+      Cands[I] = Caller.VarsOfType[SlotType[BV.Family][I]];
       if (Cands[I].empty())
-        return {};
+        return;
       continue;
     }
-    bool IsFormal = false;
-    for (size_t P = 0;
-         P != Call.CalleeMethod->Params.size() && P != Call.Args.size(); ++P)
-      if (Call.CalleeMethod->Params[P].Name == V) {
-        if (Call.Args[P].empty())
-          return {ifds::LambdaFact}; // Unknown actual: conservative.
-        Cands[I] = {Call.Args[P]};
-        IsFormal = true;
-        break;
-      }
-    if (!IsFormal)
-      return {ifds::LambdaFact}; // Callee local / $ret: uninitialized.
+    auto It = std::find_if(CT.Bindings.begin(), CT.Bindings.end(),
+                           [&](const auto &Bd) { return Bd.first == V; });
+    if (It == CT.Bindings.end() || It->second < 0) {
+      // Callee local / $ret (uninitialized), or an unknown actual:
+      // conservative.
+      Out.push_back(ifds::LambdaFact);
+      return;
+    }
+    Actual[I] = It->second;
+    Cands[I] = {&Actual[I], 1};
   }
   // Enumerate candidate tuples (arity <= 2 keeps this tiny).
-  std::set<int> Feeders;
-  std::vector<size_t> Idx(BV.Args.size(), 0);
+  std::array<size_t, wp::MaxSlots> Idx{};
+  int Tuple[wp::MaxSlots] = {};
   while (true) {
-    std::vector<std::string> Tuple(BV.Args.size());
-    for (size_t I = 0; I != Idx.size(); ++I)
+    for (size_t I = 0; I != Arity; ++I)
       Tuple[I] = Cands[I][Idx[I]];
     int CallerVar = -1;
     switch (instantiateIn(Caller, BV.Family, Tuple, CallerVar)) {
     case 1:
-      Feeders.insert(ifds::LambdaFact);
+      Out.push_back(ifds::LambdaFact);
       break;
     case 2:
-      Feeders.insert(1 + CallerVar);
+      Out.push_back(1 + CallerVar);
       break;
     default:
       break;
     }
     size_t I = 0;
-    for (; I != Idx.size(); ++I) {
+    for (; I != Arity; ++I) {
       if (++Idx[I] < Cands[I].size())
         break;
       Idx[I] = 0;
     }
-    if (I == Idx.size())
+    if (I == Arity)
       break;
   }
-  return {Feeders.begin(), Feeders.end()};
+  std::sort(Out.begin(), Out.end());
+  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
 }
 
-void InterprocProblem::buildCallTable(int CallerIdx, int EdgeIdx,
-                                      const cj::Action &Call,
-                                      int CalleeIdx) {
+CallTable InterprocProblem::buildCallTable(int CallerIdx,
+                                           const cj::Action &Call,
+                                           int CalleeIdx) const {
   const MethodInfo &Caller = Infos[CallerIdx];
   const MethodInfo &Callee = Infos[CalleeIdx];
   CallTable CT;
+  CT.Caller = CallerIdx;
   CT.Callee = CalleeIdx;
-  CT.Call = &Call;
 
-  for (size_t B = 0; B != Caller.BP.Vars.size(); ++B) {
-    const BoolVar &BV = Caller.BP.Vars[B];
-    TupleMap TM;
-    if (!mapTuple(Caller, Callee, Call, BV.Args, TM)) {
-      CT.Bypass.push_back(static_cast<int>(B));
-      continue;
-    }
+  // Resolve the call's operand names once: a name a program never met
+  // gets a key past its KeyNames, one per distinct name.
+  std::vector<std::string> UnknownIn[2];
+  auto Resolve = [&](const MethodInfo &Info, int Side,
+                     const std::string &Name) {
+    if (int K = Info.keyOf(Name); K >= 0)
+      return K;
+    std::vector<std::string> &U = UnknownIn[Side];
+    auto It = std::find(U.begin(), U.end(), Name);
+    if (It == U.end())
+      It = U.insert(It, Name);
+    return static_cast<int>(Info.BP.KeyNames.size() + (It - U.begin()));
+  };
+  const std::vector<cj::CParam> &Params = Call.CalleeMethod->Params;
+  for (size_t I = 0; I != Call.Args.size() && I != Params.size(); ++I)
+    CT.Bindings.emplace_back(
+        Resolve(Callee, 1, Params[I].Name),
+        Call.Args[I].empty() ? -1 : Resolve(Caller, 0, Call.Args[I]));
+  if (!Call.Lhs.empty()) {
+    CT.Lhs = Caller.keyOf(Call.Lhs);
+    CT.Ret = Resolve(Callee, 1, "$ret");
+  }
+
+  const size_t NB = Caller.BP.Vars.size();
+  CT.SummaryTargets.resize(Callee.BP.Vars.size());
+  CT.TMs.resize(NB);
+  CT.Feeders.resize(NB);
+  for (size_t B = 0; B != NB; ++B) {
+    int CalleeArgs[wp::MaxSlots] = {};
     int CalleeVar = -1;
-    if (instantiateIn(Callee, BV.Family, TM.CalleeArgs, CalleeVar) != 2) {
-      // Injective renaming preserves constant-ness; if we land on a
-      // constant or unknown instance, stay conservative.
+    if (!mapTuple(Caller, Callee, CT, static_cast<int>(B), CalleeArgs,
+                  CT.TMs[B]) ||
+        instantiateIn(Callee, Caller.BP.Vars[B].Family, CalleeArgs,
+                      CalleeVar) != 2) {
+      // Unmappable; or, since injective renaming preserves
+      // constant-ness, a constant or unknown instance: stay
+      // conservative.
       CT.Bypass.push_back(static_cast<int>(B));
       continue;
     }
     CT.SummaryTargets[CalleeVar].push_back(static_cast<int>(B));
-    CT.TMs.emplace(static_cast<int>(B), std::move(TM));
   }
 
-  CT.FeedOut.resize(1 + Caller.BP.Vars.size());
+  CT.FeedOut.resize(1 + NB);
   CT.FeedOut[ifds::LambdaFact].push_back(ifds::LambdaFact);
-  for (size_t E = 0; E != Callee.BP.Vars.size(); ++E)
-    for (int F : factFeeders(Caller, Callee, Call, static_cast<int>(E)))
+  std::vector<int> Feeders;
+  for (size_t E = 0; E != Callee.BP.Vars.size(); ++E) {
+    factFeeders(Caller, Callee, CT, static_cast<int>(E), Feeders);
+    for (int F : Feeders)
       CT.FeedOut[F].push_back(1 + static_cast<int>(E));
-
-  Tables[CallerIdx].emplace(EdgeIdx, std::move(CT));
+  }
+  return CT;
 }
 
-const std::vector<int> &InterprocProblem::feedersOf(int CallerIdx,
-                                                    const CallTable &CT,
-                                                    int B,
-                                                    int CalleeEntryVar) const {
-  auto Key = std::make_pair(B, CalleeEntryVar);
-  auto It = CT.Feeders.find(Key);
-  if (It != CT.Feeders.end())
-    return It->second;
-
-  const MethodInfo &Caller = Infos[CallerIdx];
+int InterprocProblem::feederOf(const CallTable &CT, int B,
+                               int CalleeEntryVar) const {
   const MethodInfo &Callee = Infos[CT.Callee];
-  const cj::Action &Call = *CT.Call;
-  const TupleMap &TM = CT.TMs.at(B);
-  const BoolVar &BV = Callee.BP.Vars[CalleeEntryVar];
+  std::vector<int> &Row = CT.Feeders[B];
+  if (Row.empty())
+    Row.assign(Callee.BP.Vars.size(), Unset);
+  int &Feeder = Row[CalleeEntryVar];
+  if (Feeder != Unset)
+    return Feeder;
 
-  std::vector<int> Result;
-  std::vector<std::string> CallerArgs(BV.Args.size());
-  bool Unmapped = false;
-  for (size_t I = 0; I != BV.Args.size() && !Unmapped; ++I) {
-    const std::string &V = BV.Args[I];
-    auto GIt = TM.GhostToCaller.find(V);
-    if (GIt != TM.GhostToCaller.end()) {
-      CallerArgs[I] = GIt->second;
-      continue;
-    }
-    bool Found = false;
-    for (size_t P = 0;
-         P != Call.CalleeMethod->Params.size() && P != Call.Args.size(); ++P)
-      if (Call.CalleeMethod->Params[P].Name == V && !Call.Args[P].empty()) {
-        CallerArgs[I] = Call.Args[P];
-        Found = true;
-        break;
-      }
+  const TupleMap &TM = CT.TMs[B];
+  const BoolVar &BV = Callee.BP.Vars[CalleeEntryVar];
+  int CallerArgs[wp::MaxSlots] = {};
+  for (size_t I = 0; I != BV.Args.size(); ++I) {
+    const int V = Callee.VarArgs[CalleeEntryVar][I];
+    int K = TM.callerOf(V);
+    for (size_t P = 0; K < 0 && P != CT.Bindings.size(); ++P)
+      if (CT.Bindings[P].first == V && CT.Bindings[P].second >= 0)
+        K = CT.Bindings[P].second;
     // A callee local, $ret, an unbound formal, or a callee ghost not in
     // this tuple's assignment: uninitialized/arbitrary at callee entry,
     // hence unconditionally may-be-1.
-    Unmapped = !Found;
+    if (K < 0)
+      return Feeder = ifds::LambdaFact;
+    CallerArgs[I] = K;
   }
-  if (Unmapped) {
-    Result.push_back(ifds::LambdaFact);
-  } else {
-    int CallerVar = -1;
-    switch (instantiateIn(Caller, BV.Family, CallerArgs, CallerVar)) {
-    case 0:
-      break; // Constant-false at entry: contributes nothing.
-    case 1:
-      Result.push_back(ifds::LambdaFact);
-      break;
-    default:
-      Result.push_back(1 + CallerVar);
-      break;
-    }
+  int CallerVar = -1;
+  switch (instantiateIn(Infos[CT.Caller], BV.Family, CallerArgs, CallerVar)) {
+  case 0:
+    return Feeder = NoFeeder; // Constant-false at entry: contributes nothing.
+  case 1:
+    return Feeder = ifds::LambdaFact;
+  default:
+    return Feeder = 1 + CallerVar;
   }
-  return CT.Feeders.emplace(Key, std::move(Result)).first->second;
 }
 
 } // namespace detail

@@ -23,13 +23,12 @@
 #include "dataflow/Dataflow.h"
 #include "dataflow/PointsTo.h"
 #include "dataflow/PreAnalysis.h"
-#include "ifds/Problem.h"
+#include "ifds/Solver.h"
 #include "support/Budget.h"
 #include "support/Interner.h"
 #include "tvla/Transfer.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <map>
 #include <set>
@@ -651,26 +650,12 @@ CheckResult Checker::checkIfds(const Certificate &C) const {
 
   const uint32_t NumPE = R.u32();
   std::vector<bp::IfdsTabulation::PE> PEs;
-  PEs.reserve(NumPE);
-  // Packed-key hash sets for the closure sweep's membership tests (the
-  // checker-side analogue of the solver's path-edge index).
-  struct PEKeyHash {
-    size_t operator()(const std::array<int, 4> &K) const {
-      uint64_t H = support::hashMix(
-          (static_cast<uint64_t>(static_cast<uint32_t>(K[0])) << 32) |
-          static_cast<uint32_t>(K[1]));
-      return support::hashCombine(
-          H, support::hashMix(
-                 (static_cast<uint64_t>(static_cast<uint32_t>(K[2])) << 32) |
-                 static_cast<uint32_t>(K[3])));
-    }
-  };
-  auto PackPair = [](int A, int B) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(A)) << 32) |
-           static_cast<uint32_t>(B);
-  };
-  std::unordered_set<std::array<int, 4>, PEKeyHash> PESet;
-  PESet.reserve(NumPE);
+  // The count is untrusted: reserve no more than the payload can hold
+  // (16 bytes a path edge); a short payload fails the read below.
+  PEs.reserve(std::min<size_t>(NumPE, C.Payload.size() / 16));
+  // The closure sweep's membership tests go through the solver's own
+  // path-edge index.
+  ifds::PathEdgeIndex PEIndex(Prob);
   std::vector<bool> HasPE(Prob.numProcs(), false);
   for (uint32_t I = 0; I != NumPE && !R.failed(); ++I) {
     bp::IfdsTabulation::PE E;
@@ -685,24 +670,31 @@ CheckResult Checker::checkIfds(const Certificate &C) const {
     if (E.EntryFact < 0 || E.EntryFact >= NF || E.Fact < 0 || E.Fact >= NF ||
         E.Node < 0 || E.Node >= V.NumNodes)
       return fail("path edge with out-of-range node or fact");
-    PESet.insert({E.Proc, E.EntryFact, E.Node, E.Fact});
+    PEIndex.insert(E.Proc, E.EntryFact, E.Node, E.Fact, static_cast<int>(I));
     HasPE[E.Proc] = true;
     PEs.push_back(E);
   }
+  // (procedure, entry fact) relations as one flag per pair.
+  auto NoPairs = [&] {
+    std::vector<std::vector<char>> Pairs(Prob.numProcs());
+    for (int P = 0; P != Prob.numProcs(); ++P)
+      Pairs[P].assign(Prob.numFacts(P), 0);
+    return Pairs;
+  };
   const uint32_t NumGenuine = R.u32();
-  std::unordered_set<uint64_t> StoredGenuine;
+  std::vector<std::vector<char>> StoredGenuine = NoPairs();
   for (uint32_t I = 0; I != NumGenuine && !R.failed(); ++I) {
     int P = R.i32();
     int F = R.i32();
     if (P < 0 || P >= Prob.numProcs() || F < 0 || F >= Prob.numFacts(P))
       return fail("genuine entry with out-of-range procedure or fact");
-    StoredGenuine.insert(PackPair(P, F));
+    StoredGenuine[P][F] = 1;
   }
   if (!R.done())
     return fail("malformed payload");
 
   auto Has = [&](int P, int D, int N, int F) {
-    return PESet.count({P, D, N, F}) != 0;
+    return PEIndex.find(P, D, N, F) >= 0;
   };
 
   // (a) Initial facts covered, and seed totality: an activated
@@ -723,10 +715,12 @@ CheckResult Checker::checkIfds(const Certificate &C) const {
   }
 
   // Callee exit facts per (proc, entry fact), for summary closure.
-  std::map<std::pair<int, int>, std::vector<int>> ExitFacts;
+  std::vector<std::vector<std::vector<int>>> ExitFacts(Prob.numProcs());
+  for (int P = 0; P != Prob.numProcs(); ++P)
+    ExitFacts[P].resize(Prob.numFacts(P));
   for (const bp::IfdsTabulation::PE &E : PEs)
     if (E.Node == Prob.proc(E.Proc).Exit)
-      ExitFacts[{E.Proc, E.EntryFact}].push_back(E.Fact);
+      ExitFacts[E.Proc][E.EntryFact].push_back(E.Fact);
 
   // (b) Closure under the exploded flow functions.
   std::vector<std::vector<std::vector<int>>> OutEdges(Prob.numProcs());
@@ -757,13 +751,9 @@ CheckResult Checker::checkIfds(const Certificate &C) const {
           return fail("path edges not closed under flowCallToReturn");
       if (!HasPE[CE.Callee])
         return fail("reached call site's callee is not activated");
-      std::vector<int> Seeded;
-      Prob.flowCall(E.Proc, EI, E.Fact, Seeded);
-      for (int D2 : Seeded) {
-        auto It = ExitFacts.find({CE.Callee, D2});
-        if (It == ExitFacts.end())
-          continue; // Callee never returns from this entry fact.
-        for (int F2 : It->second) {
+      for (int D2 : Prob.flowCall(E.Proc, EI, E.Fact)) {
+        // Empty when the callee never returns from this entry fact.
+        for (int F2 : ExitFacts[CE.Callee][D2]) {
           Out.clear();
           Prob.flowSummary(E.Proc, EI, E.Fact, D2, F2, Out);
           for (int F : Out)
@@ -778,47 +768,38 @@ CheckResult Checker::checkIfds(const Certificate &C) const {
   // initial facts, closed under flowCall feeds from genuine path edges.
   // Recomputed independently and required to match the stored relation
   // exactly, so verdict queries below answer from verified data.
-  std::unordered_set<uint64_t> Genuine;
+  std::vector<std::vector<char>> Genuine = NoPairs();
   for (int D : Init)
-    Genuine.insert(PackPair(EntryProc, D));
+    Genuine[EntryProc][D] = 1;
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (const bp::IfdsTabulation::PE &E : PEs) {
-      if (!Genuine.count(PackPair(E.Proc, E.EntryFact)))
+      if (!Genuine[E.Proc][E.EntryFact])
         continue;
       const ifds::ProcView &V = Prob.proc(E.Proc);
       for (int EI : OutEdges[E.Proc][E.Node]) {
         const ifds::ProcView::Edge &CE = V.Edges[EI];
         if (CE.Callee < 0)
           continue;
-        Out.clear();
-        Prob.flowCall(E.Proc, EI, E.Fact, Out);
-        for (int D2 : Out)
-          Changed |= Genuine.insert(PackPair(CE.Callee, D2)).second;
+        for (int D2 : Prob.flowCall(E.Proc, EI, E.Fact))
+          if (!Genuine[CE.Callee][D2]) {
+            Genuine[CE.Callee][D2] = 1;
+            Changed = true;
+          }
       }
     }
   }
   if (Genuine != StoredGenuine)
     return fail("stored genuine-entry relation disagrees with closure");
 
-  // Genuine reachability as per-procedure bit vectors (one bit per
-  // exploded node), matching the solver's dense representation.
-  std::vector<std::vector<uint64_t>> ReachedG(Prob.numProcs());
-  for (int P = 0; P != Prob.numProcs(); ++P) {
-    const size_t Bits =
-        static_cast<size_t>(Prob.proc(P).NumNodes) * Prob.numFacts(P);
-    ReachedG[P].assign((Bits + 63) / 64, 0);
-  }
+  // Genuine reachability, one bit per exploded node as in the solver.
+  ifds::ExplodedNodeSet ReachedG(Prob);
   for (const bp::IfdsTabulation::PE &E : PEs)
-    if (Genuine.count(PackPair(E.Proc, E.EntryFact))) {
-      const size_t Bit =
-          static_cast<size_t>(E.Node) * Prob.numFacts(E.Proc) + E.Fact;
-      ReachedG[E.Proc][Bit >> 6] |= 1ull << (Bit & 63);
-    }
+    if (Genuine[E.Proc][E.EntryFact])
+      ReachedG.insert(E.Proc, E.Node, E.Fact);
   auto Reached = [&](int P, int N, int F) {
-    const size_t Bit = static_cast<size_t>(N) * Prob.numFacts(P) + F;
-    return ((ReachedG[P][Bit >> 6] >> (Bit & 63)) & 1) != 0;
+    return ReachedG.contains(P, N, F);
   };
 
   // (c) Claims uncovered by genuine reachability.

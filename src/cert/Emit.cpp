@@ -2,11 +2,11 @@
 
 #include "dataflow/Dataflow.h"
 #include "dataflow/PointsTo.h"
+#include "ifds/Solver.h"
 #include "support/Interner.h"
 #include "tvla/Transfer.h"
 
 #include <algorithm>
-#include <array>
 #include <set>
 
 using namespace canvas;
@@ -289,14 +289,17 @@ Certificate cert::emitIfds(const bp::InterprocModel &Model,
   // same genuine-reachability queries the analysis makes), so claims
   // stay in anchors() order regardless of which procedures the verdict
   // loop visited.
-  std::set<std::pair<int, int>> Genuine(Tab.Genuine.begin(),
-                                        Tab.Genuine.end());
-  std::set<std::array<int, 3>> ReachedG;
+  std::vector<std::vector<char>> Genuine(Prob.numProcs());
+  for (int P = 0; P != Prob.numProcs(); ++P)
+    Genuine[P].assign(Prob.numFacts(P), 0);
+  for (const auto &[P, F] : Tab.Genuine)
+    Genuine[P][F] = 1;
+  ifds::ExplodedNodeSet ReachedG(Prob);
   for (const bp::IfdsTabulation::PE &E : Tab.PathEdges)
-    if (Genuine.count({E.Proc, E.EntryFact}))
-      ReachedG.insert({E.Proc, E.Node, E.Fact});
+    if (Genuine[E.Proc][E.EntryFact])
+      ReachedG.insert(E.Proc, E.Node, E.Fact);
   auto Reached = [&](int P, int N, int F) {
-    return ReachedG.count({P, N, F}) != 0;
+    return ReachedG.contains(P, N, F);
   };
 
   const std::vector<bp::InterprocModel::Anchor> &Anchors = Model.anchors();

@@ -20,13 +20,19 @@ SiteComparison core::compareWithGroundTruth(const CertificationReport &Report,
                                             const easl::Spec &Spec,
                                             const cj::Program &P,
                                             const InterpreterOptions &Opts) {
-  SiteComparison Out;
   DiagnosticEngine Diags;
   cj::ClientCFG CFG = cj::buildCFG(P, Spec, Diags);
   const cj::CFGMethod *Main = CFG.mainCFG();
   if (!Main)
-    return Out;
-  GroundTruth GT = executeConcretely(Spec, CFG, *Main, Opts);
+    return {};
+  return compareWithGroundTruth(Report, CFG,
+                                executeConcretely(Spec, CFG, *Main, Opts));
+}
+
+SiteComparison core::compareWithGroundTruth(const CertificationReport &Report,
+                                            const cj::ClientCFG &CFG,
+                                            const GroundTruth &GT) {
+  SiteComparison Out;
   Out.Exhaustive = GT.Exhaustive;
 
   // Aggregate ground truth per (method, client location of the call).

@@ -41,6 +41,13 @@ SiteComparison compareWithGroundTruth(const CertificationReport &Report,
                                       const cj::Program &P,
                                       const InterpreterOptions &Opts = {});
 
+/// Compares \p Report with ground truth \p GT already computed over
+/// \p CFG (executeConcretely from its main), so one executor run can
+/// judge several reports on the same client.
+SiteComparison compareWithGroundTruth(const CertificationReport &Report,
+                                      const cj::ClientCFG &CFG,
+                                      const GroundTruth &GT);
+
 } // namespace core
 } // namespace canvas
 

@@ -12,7 +12,8 @@
 /// Facts are small integers local to each procedure; fact 0 is Lambda,
 /// the unconditional "reachable" fact that seeds the analysis. Flow
 /// functions are given in their exploded-edge form: for an input fact d
-/// at the edge source, enumerate the facts that hold after the edge.
+/// at the edge source, enumerate the facts that hold after the edge
+/// (appended to an output vector the caller clears).
 ///
 /// One deliberate extension over textbook IFDS: return-flow composition
 /// is delegated to the problem via flowSummary, which sees the caller
@@ -29,6 +30,7 @@
 #ifndef CANVAS_IFDS_PROBLEM_H
 #define CANVAS_IFDS_PROBLEM_H
 
+#include <span>
 #include <vector>
 
 namespace canvas {
@@ -81,9 +83,10 @@ public:
                           std::vector<int> &Out) const = 0;
 
   /// Callee entry facts seeded by input fact \p Fact at call edge
-  /// \p Edge (the call-flow function). Lambda must map to Lambda.
-  virtual void flowCall(int P, int Edge, int Fact,
-                        std::vector<int> &Out) const = 0;
+  /// \p Edge (the call-flow function), each at most once. Lambda must
+  /// map to Lambda. The view stays valid as long as the problem.
+  virtual std::span<const int> flowCall(int P, int Edge,
+                                        int Fact) const = 0;
 
   /// Facts that bypass the callee (locals not passed, and Lambda).
   virtual void flowCallToReturn(int P, int Edge, int Fact,

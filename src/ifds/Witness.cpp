@@ -8,10 +8,16 @@ using namespace canvas::ifds;
 
 WitnessBuilder::WitnessBuilder(const Solver &S) : S(S) {
   const Problem &Prob = S.problem();
+  D.resize(Prob.numProcs());
+  Pred.resize(Prob.numProcs());
+  for (int P = 0; P != Prob.numProcs(); ++P) {
+    D[P].assign(Prob.numFacts(P), Inf);
+    Pred[P].resize(Prob.numFacts(P));
+  }
   std::vector<int> Init;
   Prob.initialFacts(Init);
   for (int F : Init)
-    D[{Prob.entryProc(), F}] = 0;
+    D[Prob.entryProc()][F] = 0;
 
   // Bellman-Ford over the genuine feed records: the graphs are tiny
   // (procedures x entry facts), and distances only decrease.
@@ -28,10 +34,9 @@ WitnessBuilder::WitnessBuilder(const Solver &S) : S(S) {
           if (Base == Inf)
             continue;
           long Cand = Base + Caller.Dist + 1;
-          auto It = D.find({P, F});
-          if (It == D.end() || Cand < It->second) {
-            D[{P, F}] = Cand;
-            Pred[{P, F}] = Feed;
+          if (Cand < D[P][F]) {
+            D[P][F] = Cand;
+            Pred[P][F] = Feed;
             Changed = true;
           }
         }
@@ -40,8 +45,7 @@ WitnessBuilder::WitnessBuilder(const Solver &S) : S(S) {
 }
 
 long WitnessBuilder::prefixDist(int P, int EntryFact) const {
-  auto It = D.find({P, EntryFact});
-  return It == D.end() ? Inf : It->second;
+  return D[P][EntryFact];
 }
 
 bool WitnessBuilder::reconstruct(int P, int Node, int Fact,
@@ -78,21 +82,17 @@ bool WitnessBuilder::reconstruct(int P, int Node, int Fact,
 void WitnessBuilder::emitPrefix(int P, int EntryFact,
                                 std::vector<TraceStep> &Out,
                                 int &SeedFactOut) const {
-  if (P == S.problem().entryProc()) {
+  if (P == S.problem().entryProc() && D[P][EntryFact] == 0) {
     // Initial facts have distance 0; a feed chain can never beat that,
     // so the recursion bottoms out exactly at the program entry.
-    auto It = D.find({P, EntryFact});
-    if (It != D.end() && It->second == 0) {
-      SeedFactOut = EntryFact;
-      return;
-    }
+    SeedFactOut = EntryFact;
+    return;
   }
-  auto It = Pred.find({P, EntryFact});
-  if (It == Pred.end())
+  const Solver::FactFeed &Feed = Pred[P][EntryFact];
+  if (Feed.CallerPathEdge < 0)
     throw CertifyError(CertifyErrorKind::InternalInvariant,
                        "witness prefix requested for an unfed entry fact",
                        "ifds");
-  const Solver::FactFeed &Feed = It->second;
   const Solver::PathEdge &Caller = S.pathEdges()[Feed.CallerPathEdge];
   emitPrefix(Caller.Proc, Caller.EntryFact, Out, SeedFactOut);
   emitSameLevel(Feed.CallerPathEdge, Out);

@@ -22,7 +22,6 @@
 
 #include "ifds/Solver.h"
 
-#include <map>
 #include <vector>
 
 namespace canvas {
@@ -67,10 +66,10 @@ private:
   void emitSameLevel(int PathEdgeId, std::vector<TraceStep> &Out) const;
 
   const Solver &S;
-  /// D[(P, entry fact)] = shortest prefix distance from the program
-  /// entry; Pred the feed realizing it.
-  std::map<std::pair<int, int>, long> D;
-  std::map<std::pair<int, int>, Solver::FactFeed> Pred;
+  /// D[P][entry fact] = shortest prefix distance from the program
+  /// entry (Inf when unfed); Pred the feed realizing it.
+  std::vector<std::vector<long>> D;
+  std::vector<std::vector<Solver::FactFeed>> Pred;
 };
 
 } // namespace ifds

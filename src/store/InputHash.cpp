@@ -2,8 +2,6 @@
 
 #include "cert/Certificate.h"
 
-#include <set>
-
 using namespace canvas;
 using namespace canvas::store;
 
@@ -119,16 +117,12 @@ std::map<std::string, uint64_t>
 store::methodInputHashes(const cj::ClientCFG &CFG, uint64_t Context) {
   ClosureWalk Walk(CFG);
   std::map<std::string, uint64_t> Out;
-  std::set<std::string> Shared;
   for (const cj::CFGMethod &M : CFG.Methods) {
     cert::Writer W;
     W.u64(Context);
     W.u64(Walk.closure(M));
-    if (!Out.emplace(M.name(), hashBuffer(W, 0xcbf29ce484222325ull)).second)
-      Shared.insert(M.name());
+    Out.emplace(M.name(), hashBuffer(W, 0xcbf29ce484222325ull));
   }
-  for (const std::string &Name : Shared)
-    Out.erase(Name);
   return Out;
 }
 

@@ -8,6 +8,12 @@
 /// builds — unrestricted, and unrestricted over the ghost-extended CFG
 /// the interprocedural engine analyzes.
 ///
+/// For every such client with a main(), a third rendering pins the
+/// interprocedural engine: its report (verdicts and witnesses), the four
+/// tabulation counters (worklist pops, exploded nodes, path edges,
+/// summaries) and the serialized IFDS certificate. The pop count moves
+/// with any change in the solver's worklist order.
+///
 /// BuildGoldenTest compares FNV-1a digests of these renderings with
 /// tests/boolprog/BuildGolden.txt; `build_golden_gen CORPUS_DIR` writes
 /// that file, and `build_golden_gen --full CORPUS_DIR` prints the
@@ -19,6 +25,8 @@
 #define CANVAS_TESTS_BOOLPROG_BUILDGOLDEN_H
 
 #include "boolprog/BooleanProgram.h"
+#include "boolprog/Interprocedural.h"
+#include "cert/Emit.h"
 #include "client/Parser.h"
 #include "easl/Builtins.h"
 #include "shard/Corpus.h"
@@ -98,6 +106,31 @@ inline cj::CFGMethod ghostExtended(const wp::DerivedAbstraction &Abs,
   return Ext;
 }
 
+/// The interprocedural engine's output rooted at \p Main: report,
+/// counters, and certificate bytes in hex, 32 bytes a line.
+inline std::string interprocStr(const wp::DerivedAbstraction &Abs,
+                                const cj::ClientCFG &CFG,
+                                const cj::CFGMethod &Main) {
+  DiagnosticEngine D;
+  const bp::InterprocModel Model(Abs, CFG, Main, D);
+  bp::IfdsTabulation Tab;
+  const bp::InterResult R = bp::analyzeInterproc(Model, nullptr, &Tab);
+  std::string Out = R.str() + "  pops " +
+                    std::to_string(R.SummaryIterations) + " exploded " +
+                    std::to_string(R.ExplodedNodes) + " path-edges " +
+                    std::to_string(R.PathEdges) + " summaries " +
+                    std::to_string(R.Summaries) + "\n";
+  const std::vector<uint8_t> Bytes =
+      cert::serializeCertificates({cert::emitIfds(Model, Tab)});
+  for (size_t I = 0; I != Bytes.size(); ++I) {
+    char Hex[4];
+    std::snprintf(Hex, sizeof(Hex), "%02x", Bytes[I]);
+    Out += (I % 32 == 0 ? "  cert " : "") + std::string(Hex) +
+           (I % 32 == 31 || I + 1 == Bytes.size() ? "\n" : "");
+  }
+  return Out;
+}
+
 inline void collectClient(const std::string &Name, const std::string &Source,
                           const easl::Spec &Spec,
                           const wp::DerivedAbstraction &Abs,
@@ -114,6 +147,9 @@ inline void collectClient(const std::string &Name, const std::string &Source,
     Out.push_back({Prefix + "ghost",
                    programStr(bp::buildBooleanProgram(Abs, Ext, D))});
   }
+  if (const cj::CFGMethod *Main = CFG.mainCFG())
+    Out.push_back({Name + " " + Main->name() + " interproc",
+                   interprocStr(Abs, CFG, *Main)});
 }
 
 /// Every golden rendering; \p CorpusDir receives the generated corpus.

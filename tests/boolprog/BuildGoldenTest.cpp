@@ -4,6 +4,8 @@
 // every build kind (see BuildGolden.h) must match the digests in
 // BuildGolden.txt byte for byte. Certificates serialize these programs,
 // so this is what keeps certificate bytes stable across builder changes.
+// The interproc renderings pin the IFDS engine the same way: report,
+// witnesses, tabulation counters and certificate bytes.
 //===----------------------------------------------------------------------===//
 
 #include "BuildGolden.h"

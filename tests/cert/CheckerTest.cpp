@@ -286,6 +286,17 @@ TEST(CertTamperTest, IfdsDeletedGenuinePairRejected) {
   expectRejected(Ru, C, "deleted genuine pair");
 }
 
+TEST(CertTamperTest, IfdsInflatedPathEdgeCountRejected) {
+  // A count the payload cannot hold is a malformed payload, not an
+  // allocation the checker attempts.
+  CertRun Ru = makeRun(EngineKind::SCMPInterproc);
+  cert::Certificate C = Ru.R.Certificates[0];
+  ASSERT_EQ(C.Kind, cert::CertKind::Ifds);
+  wrU32(C.Payload, 8, 0xffffffffu);
+  C.seal();
+  expectRejected(Ru, C, "path-edge count past the payload");
+}
+
 TEST(CertTamperTest, IfdsFlippedClaimRejected) {
   CertRun Ru = makeRun(EngineKind::SCMPInterproc);
   cert::Certificate C = Ru.R.Certificates[0];

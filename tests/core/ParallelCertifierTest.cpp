@@ -201,7 +201,8 @@ TEST(ParallelCertifierTest, TinyTVLACapHasNoMissedViolations) {
   // Differential validation of the relational TVLA engine against the
   // concrete executor: however much precision the cap path gives up, it
   // must never un-flag a real violation (Missed > 0 would be a soundness
-  // bug — exactly what the stale-canonical-key bug caused).
+  // bug — exactly what the stale-canonical-key bug caused). The executor
+  // runs once per client; every cap is judged against its answer.
   easl::Spec Spec = easl::parseBuiltinSpec(easl::cmpSpecSource());
   DiagnosticEngine Diags;
   wp::DerivedAbstraction Abs = wp::deriveAbstraction(Spec, Diags);
@@ -209,6 +210,8 @@ TEST(ParallelCertifierTest, TinyTVLACapHasNoMissedViolations) {
     cj::Program P = cj::parseProgram(Client, Diags);
     cj::ClientCFG CFG = cj::buildCFG(P, Spec, Diags);
     ASSERT_FALSE(Diags.hasErrors()) << Diags.str();
+    ASSERT_NE(CFG.mainCFG(), nullptr);
+    const GroundTruth GT = executeConcretely(Spec, CFG, *CFG.mainCFG());
     for (unsigned Cap : {1u, 2u, 256u}) {
       tvla::TVLAOptions TO;
       TO.Relational = true;
@@ -225,7 +228,7 @@ TEST(ParallelCertifierTest, TinyTVLACapHasNoMissedViolations) {
           R.Checks.push_back(std::move(Rec));
         }
       }
-      SiteComparison Cmp = compareWithGroundTruth(R, Spec, P);
+      SiteComparison Cmp = compareWithGroundTruth(R, CFG, GT);
       EXPECT_EQ(Cmp.Missed, 0u)
           << "cap=" << Cap << "\n" << Cmp.str() << R.str();
     }

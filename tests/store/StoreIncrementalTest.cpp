@@ -273,49 +273,6 @@ TEST_F(StoreIncrementalTest, InterproceduralUnitHitsAndInvalidates) {
   EXPECT_EQ(After.Store.Misses, 1u);
 }
 
-TEST_F(StoreIncrementalTest, MethodsSharingANameBypassTheStore) {
-  // The client front end accepts a redefined method. Entries are keyed,
-  // gated and served by unit name, so serving one D::m's entry to the
-  // other would report that method with the wrong verdict (in the
-  // second order below, a missed violation). Both are re-analyzed on
-  // every run; other() still hits.
-  for (bool ViolationFirst : {true, false}) {
-    const std::string Violating = R"(
-      void m() {
-        Set s = new Set();
-        Iterator i = s.iterator();
-        s.add();
-        i.next();
-      }
-    )";
-    const std::string Safe = R"(
-      void m() {
-        Set s = new Set();
-        Iterator i = s.iterator();
-        i.next();
-      }
-    )";
-    const std::string Client =
-        "class D {" + (ViolationFirst ? Violating + Safe : Safe + Violating) +
-        "void other() { Set w = new Set(); Iterator j = w.iterator(); "
-        "j.next(); } }";
-    fs::remove_all(Dir);
-    CertificationReport Storeless = run(Client.c_str(), CertifierOptions());
-    ASSERT_EQ(Storeless.numFlagged(), 1u) << Storeless.str();
-    CertificationReport Cold = run(Client.c_str(), Opts);
-    EXPECT_EQ(Cold.Store.Misses, 1u);
-    EXPECT_EQ(Cold.Store.Writes, 1u);
-    for (int Pass = 0; Pass != 2; ++Pass) {
-      CertificationReport Warm = run(Client.c_str(), Opts);
-      EXPECT_EQ(Warm.Store.Hits, 1u);
-      EXPECT_EQ(Warm.Store.Misses, 0u);
-      EXPECT_EQ(Warm.Store.Writes, 0u);
-      EXPECT_TRUE(Warm.Store.Incidents.empty());
-      EXPECT_EQ(Warm.str(), Storeless.str());
-    }
-  }
-}
-
 TEST_F(StoreIncrementalTest, PointsToCouplesEveryMethodToTheProgram) {
   CertifierOptions PtOpts = Opts;
   PtOpts.PointsTo = true;

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 #
 # Captures the TVLA benchmark lines into BENCH_tvla.json: builds the
-# default preset, runs the two bench drivers that print
-# "BENCH_JSON {...}" lines for the relational TVLA engine (and the
-# partitioned-vs-unpartitioned SCMP pipelines series), and appends
+# default preset, runs the bench drivers that print "BENCH_JSON {...}"
+# lines for the relational TVLA engine (plus the
+# partitioned-vs-unpartitioned SCMP pipelines series and the
+# scmp-interproc cost on the bench suite, "interproc-suite"), and appends
 # each line (tagged with a caller-supplied label) to the JSON-lines
 # file at the repo root. Also captures the persistent certificate
 # store's hit-rate lines (a cold run that fills the store followed by a
@@ -31,16 +32,17 @@ JOBS="${JOBS:-$(nproc 2>/dev/null || echo 4)}"
 
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$JOBS" \
-  --target bench_certification bench_scaling canvas_certify \
-  canvas_shard >/dev/null
+  --target bench_certification bench_scaling bench_interproc \
+  canvas_certify canvas_shard >/dev/null
 
 capture() {
-  # Keep only the driver's TVLA JSON payloads and the SCMP pipelines
-  # series; drop the google-benchmark tables ("--benchmark_filter=NONE"
-  # skips the registered benchmarks) and the other BENCH_JSON lines.
+  # Keep only the driver's TVLA JSON payloads, the SCMP pipelines
+  # series and the interproc-suite line; drop the google-benchmark
+  # tables ("--benchmark_filter=NONE" skips the registered benchmarks)
+  # and the other BENCH_JSON lines.
   "$1" --benchmark_filter=NONE 2>/dev/null |
-    sed -n 's/^BENCH_JSON //p' | grep -E '"bench":"(tvla|scmp-pipelines)' ||
-    true
+    sed -n 's/^BENCH_JSON //p' |
+    grep -E '"bench":"(tvla|scmp-pipelines|interproc-suite)' || true
 }
 
 # Store hit rate: a cold certify fills the store, the warm rerun must
@@ -139,6 +141,7 @@ PYEOF
 {
   capture ./build/bench/bench_certification
   capture ./build/bench/bench_scaling
+  capture ./build/bench/bench_interproc
   capture_store
   capture_shard
 } | while IFS= read -r line; do

@@ -55,11 +55,12 @@ cmake --build "$PERFBENCH_DIR" -j "$JOBS" --target perfbench perfbench_test
 "$PERFBENCH_DIR/perfbench_test"
 rm -rf "$PERFBENCH_DIR"
 
-step "bench smoke: grinder tvla-relational vs committed baseline"
+step "bench smoke: grinder tvla-relational and suite scmp-interproc vs committed baseline"
 # Captures a fresh BENCH_tvla line set into a scratch file (default
 # preset, warm min-of-N timings) and fails if the grinder client's
-# tvla-relational-perf time regressed more than 2x against the newest
-# line committed in BENCH_tvla.json.
+# tvla-relational-perf time, or the bench suite's scmp-interproc total
+# (interproc-suite), regressed more than 2x against the newest line
+# committed in BENCH_tvla.json.
 BENCH_TMP="$(mktemp)"
 CANVAS_BENCH_OUT="$BENCH_TMP" tools/bench_capture.sh ci-smoke
 python3 - "$BENCH_TMP" <<'PYEOF'
@@ -80,13 +81,27 @@ def grinder_us(path):
                 best = cl["us"]  # Last matching line = newest capture.
     return best
 
-base = grinder_us("BENCH_tvla.json")
-new = grinder_us(sys.argv[1])
-if base is None or new is None:
-    sys.exit("bench smoke: missing grinder tvla-relational-perf line")
-print(f"grinder tvla-relational: baseline {base:.1f}us, current {new:.1f}us")
-if new > 2.0 * base:
-    sys.exit(f"bench smoke FAILED: {new:.1f}us > 2x baseline {base:.1f}us")
+def interproc_total_us(path):
+    best = None
+    for line in open(path):
+        line = line.strip()
+        if not line:
+            continue
+        c = json.loads(line)["captured"]
+        if c.get("bench") == "interproc-suite":
+            best = c["interproc_total_us"]  # Newest capture wins.
+    return best
+
+for what, read in (("grinder tvla-relational", grinder_us),
+                   ("suite scmp-interproc", interproc_total_us)):
+    base = read("BENCH_tvla.json")
+    new = read(sys.argv[1])
+    if base is None or new is None:
+        sys.exit(f"bench smoke: missing {what} line")
+    print(f"{what}: baseline {base:.1f}us, current {new:.1f}us")
+    if new > 2.0 * base:
+        sys.exit(f"bench smoke FAILED: {what} {new:.1f}us > 2x "
+                 f"baseline {base:.1f}us")
 PYEOF
 rm -f "$BENCH_TMP"
 
