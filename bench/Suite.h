@@ -278,17 +278,15 @@ inline const std::vector<BenchClient> &cmpSuite() {
   return Suite;
 }
 
-/// Aliasing-heavy clients for the points-to slicing benchmark: every
-/// client moves a component reference through the heap (a client-object
-/// field), so the syntactic Stage-0 slicer is forced to a single slice
-/// — only the whole-program points-to relatedness groups prove the
-/// pipelines independent and let SCMPIntra certify per-slice.
+/// Aliasing-heavy test clients: every client moves a component
+/// reference through the heap (a client-object field), so the Stage-0
+/// slicer's heap gate keeps each method in a single slice although its
+/// pipelines never interfere.
 inline const std::vector<BenchClient> &aliasSuite() {
   static const std::vector<BenchClient> Suite = {
       // Six independent Set/Iterator pipelines; one of them parks its
-      // Set in a heap field. Syntactically that one store poisons the
-      // whole method (HasHeapComponentRefs); the points-to solution
-      // keeps the six instance groups apart.
+      // Set in a heap field. That one store poisons the whole method
+      // (HasHeapComponentRefs).
       {"heap-pipelines", R"(
         class Stash {
           Set s;
@@ -326,8 +324,7 @@ inline const std::vector<BenchClient> &aliasSuite() {
       )", false},
 
       // Two stashes, each holding its own Set: both allocation sites
-      // are heap-escaping, yet the two pipelines never interfere — the
-      // relatedness groups stay {s1,i1} and {s2,i2}.
+      // are heap-escaping, yet the two pipelines never interfere.
       {"stashed-pairs", R"(
         class Stash {
           Set s;

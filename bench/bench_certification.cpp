@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <benchmark/benchmark.h>
-#include <chrono>
 #include <cstdio>
 
 using namespace canvas;
@@ -152,18 +151,6 @@ BuildSide runBuildSide(const wp::DerivedAbstraction &Abs,
     }
   });
   return Side;
-}
-
-bool sameVerdicts(const CertificationReport &A, const CertificationReport &B) {
-  if (A.Checks.size() != B.Checks.size())
-    return false;
-  for (size_t I = 0; I != A.Checks.size(); ++I)
-    if (A.Checks[I].Method != B.Checks[I].Method ||
-        A.Checks[I].Loc.Line != B.Checks[I].Loc.Line ||
-        A.Checks[I].Loc.Col != B.Checks[I].Loc.Col ||
-        A.Checks[I].Outcome != B.Checks[I].Outcome)
-      return false;
-  return true;
 }
 
 void printStageZero() {
@@ -347,124 +334,6 @@ void printCertificatePerf() {
   std::printf("\nBENCH_JSON %s\n\n", Json.c_str());
 }
 
-//===----------------------------------------------------------------------===//
-// Points-to-refined slicing on aliasing-heavy clients: every client in
-// the alias suite moves a component reference through the heap, so the
-// syntactic slicing gates force a single slice. With the whole-program
-// points-to pre-analysis on, the may-interfere groups prove the
-// pipelines independent and SCMPIntra certifies per-slice, emitting a
-// SlicePartition certificate the independent checker re-validates. The
-// BENCH_JSON line (name prefixed "tvla" so tools/bench_capture.sh
-// snapshots it) records the before/after time, slice counts, and the
-// certificate mix.
-//===----------------------------------------------------------------------===//
-
-struct PointsToSide {
-  double Micros = 0; ///< Warm min-of-5, emission + checking on.
-  CertificationReport Report;
-};
-
-/// Measures the points-to-off and points-to-on configurations with
-/// INTERLEAVED reps (off, on, off, on, ...): the two sides' deltas are
-/// small relative to scheduler noise on a shared core, and interleaving
-/// makes a transient slowdown hit both mins alike instead of skewing
-/// whichever side owned that time window.
-void runPointsToPair(const bench::BenchClient &Client, PointsToSide &Off,
-                     PointsToSide &On) {
-  DiagnosticEngine Diags;
-  CertifierOptions Opts;
-  Opts.EmitCertificates = true;
-  Opts.CheckCertificates = true;
-  Opts.PointsTo = false;
-  Certifier COff(easl::cmpSpecSource(), EngineKind::SCMPIntra, Diags, {},
-                 Opts);
-  Opts.PointsTo = true;
-  Certifier COn(easl::cmpSpecSource(), EngineKind::SCMPIntra, Diags, {}, Opts);
-  cj::Program P = cj::parseProgram(Client.Source, Diags);
-  // The warmup doubles as the report capture (and primes the on-side's
-  // program-keyed points-to cache, as a warm client run would).
-  {
-    DiagnosticEngine D2;
-    Off.Report = COff.certify(P, D2);
-  }
-  {
-    DiagnosticEngine D2;
-    On.Report = COn.certify(P, D2);
-  }
-  Off.Micros = On.Micros = 1e30;
-  auto TimeOne = [&](const Certifier &C) {
-    const auto T0 = std::chrono::steady_clock::now();
-    DiagnosticEngine D2;
-    C.certify(P, D2);
-    const auto T1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::micro>(T1 - T0).count();
-  };
-  for (int Rep = 0; Rep != 9; ++Rep) {
-    Off.Micros = std::min(Off.Micros, TimeOne(COff));
-    On.Micros = std::min(On.Micros, TimeOne(COn));
-  }
-}
-
-/// Slices of the largest sliced method in the report (an aliasing
-/// client has one interesting method: main).
-unsigned maxSlices(const CertificationReport &R) {
-  unsigned Max = 0;
-  for (const MethodSliceSummary &S : R.SliceSummaries)
-    Max = std::max(Max, S.Slices);
-  return Max;
-}
-
-unsigned slicePartitionCerts(const CertificationReport &R) {
-  unsigned N = 0;
-  for (const cert::Certificate &C : R.Certificates)
-    N += C.Kind == cert::CertKind::SlicePartition;
-  return N;
-}
-
-void printPointsToSlicing() {
-  std::printf("=== Points-to-refined slicing (scmp-intra, certificates "
-              "checked) ===\n");
-  std::printf("%-20s | %19s | %31s | %s\n", "client",
-              "off:    us slices", "on:    us slices parts maxB", "same");
-  std::string Json = "{\"bench\":\"tvla-pointsto-slicing\",\"engine\":"
-                     "\"scmp-intra\",\"clients\":[";
-  bool First = true;
-  for (const bench::BenchClient &Client : bench::aliasSuite()) {
-    PointsToSide Off, On;
-    runPointsToPair(Client, Off, On);
-    bool Same = sameVerdicts(On.Report, Off.Report);
-    const char *Reason = "";
-    for (const MethodSliceSummary &S : Off.Report.SliceSummaries)
-      if (!S.ForcedSingleReason.empty())
-        Reason = S.ForcedSingleReason.c_str();
-    std::printf("%-20s | %9.0f %6u | %9.0f %6u %5u %4zu | %s  (off: %s)\n",
-                Client.Name, Off.Micros, maxSlices(Off.Report), On.Micros,
-                maxSlices(On.Report), slicePartitionCerts(On.Report),
-                On.Report.MaxBoolVars, Same ? "yes" : "NO", Reason);
-    char Buf[512];
-    std::snprintf(
-        Buf, sizeof(Buf),
-        "%s{\"name\":\"%s\","
-        "\"off\":{\"us\":%.1f,\"slices\":%u,\"max_boolvars\":%zu,"
-        "\"forced_single\":\"%s\"},"
-        "\"on\":{\"us\":%.1f,\"slices\":%u,\"max_boolvars\":%zu,"
-        "\"slice_partition_certs\":%u,\"certs\":%u,"
-        "\"pt_objects\":%u,\"pt_constraints\":%u,\"heap_sites\":%u},"
-        "\"speedup\":%.2f,\"verdicts_identical\":%s}",
-        First ? "" : ",", Client.Name, Off.Micros, maxSlices(Off.Report),
-        Off.Report.MaxBoolVars, Reason, On.Micros, maxSlices(On.Report),
-        On.Report.MaxBoolVars, slicePartitionCerts(On.Report),
-        On.Report.CertStats.Count, On.Report.PointsTo.Objects,
-        On.Report.PointsTo.Constraints, On.Report.PointsTo.HeapSites,
-        On.Micros > 0 ? Off.Micros / On.Micros : 0.0,
-        Same ? "true" : "false");
-    Json += Buf;
-    First = false;
-  }
-  Json += "]}";
-  std::printf("\nBENCH_JSON %s\n\n", Json.c_str());
-}
-
 /// Timing benchmark: client analysis per engine (certifier generation is
 /// hoisted out, reflecting the staged design — abstraction derivation
 /// happens once at certifier-generation time).
@@ -493,7 +362,6 @@ int main(int argc, char **argv) {
   printStageZero();
   printTVLAPerf();
   printCertificatePerf();
-  printPointsToSlicing();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -4,7 +4,9 @@
 // versus context-sensitive interprocedural SCMP certification on
 // multi-procedure clients. The interprocedural engine removes the
 // false alarms the intraprocedural engine produces at call boundaries
-// while still catching the real cross-procedure bugs.
+// while still catching the real cross-procedure bugs. Its µs columns
+// (and the "interproc-ifds" BENCH_JSON line's "us") are min-of-N
+// certify() times, each engine timed in its own loop.
 //
 // Then the engine's cost on the 13 bench-suite clients: per client the
 // min-of-N certify() time of scmp-interproc and of scmp-intra (each
@@ -21,7 +23,6 @@
 #include "Suite.h"
 
 #include <benchmark/benchmark.h>
-#include <chrono>
 #include <cstdio>
 #include <thread>
 
@@ -29,6 +30,9 @@ using namespace canvas;
 using namespace canvas::core;
 
 namespace {
+
+/// Warm-up runs and timed repetitions of every min-of-N timing here.
+constexpr int Warmup = 3, Reps = 60;
 
 /// Renders Report.Stages as a JSON array: the per-rung resource spend
 /// (time, fixpoint iterations, peak resident structures) the budgeted
@@ -130,7 +134,8 @@ const Prog Programs[] = {
 
 void printTable() {
   std::printf("=== Section 8: intraprocedural vs interprocedural SCMP "
-              "===\n");
+              "(min of %d) ===\n",
+              Reps);
   std::printf("%-18s | %28s | %28s\n", "program",
               "scmp-intra  chk flag FA  us", "scmp-inter  chk flag FA  us");
   std::string Json = "{\"bench\":\"interproc-ifds\",\"clients\":[";
@@ -141,13 +146,14 @@ void printTable() {
       DiagnosticEngine Diags;
       Certifier C(easl::cmpSpecSource(), K, Diags);
       cj::Program Client = cj::parseProgram(P.Source, Diags);
-      auto T0 = std::chrono::steady_clock::now();
-      CertificationReport R = C.certify(Client, Diags);
-      auto T1 = std::chrono::steady_clock::now();
+      CertificationReport R;
+      const double Us = bench::minOfN(
+          [&] {
+            DiagnosticEngine D2;
+            R = C.certify(Client, D2);
+          },
+          Warmup, Reps);
       SiteComparison Cmp = compareWithGroundTruth(R, C.spec(), Client);
-      double Us =
-          std::chrono::duration_cast<std::chrono::microseconds>(T1 - T0)
-              .count();
       std::printf(" | %11zu %4u %2u %5.0f", R.numChecks(), R.numFlagged(),
                   Cmp.FalseAlarms, Us);
       if (K == EngineKind::SCMPInterproc) {
@@ -176,7 +182,6 @@ void printTable() {
 /// The interproc-suite series. The µs and ratio columns are timings;
 /// every other column is deterministic.
 void printSuiteCost() {
-  constexpr int Warmup = 3, Reps = 60;
   std::printf("=== scmp-interproc cost on the bench suite (min of %d) ===\n",
               Reps);
   std::printf("%-20s %10s %10s %6s %6s %8s %9s %10s %9s %7s\n", "client",

@@ -3,9 +3,9 @@
 // canvas_certify: command-line front end for the staged certifier.
 //
 //   canvas_certify [--engine=NAME] [--spec=FILE|cmp|grp|imp|aop]
-//                  [--print-abstraction] [--points-to]
+//                  [--print-abstraction]
 //                  [--emit-certs=FILE] [--check-certs]
-//                  [--store=DIR] [--store-mode=rw|ro]
+//                  [--store=DIR] [--store-mode=rw|ro] [--bench-label=NAME]
 //                  [--check-only --certs=FILE] CLIENT.cj
 //   canvas_certify --list-fault-sites
 //   canvas_certify --store-snapshot=DIR
@@ -36,14 +36,12 @@
 // (one site per line), so harnesses can iterate every probe site
 // without hard-coding the list.
 //
-// --points-to runs the whole-program points-to & escape pre-analysis
-// before the SCMPIntra engine: the report gains the points-to/escape
-// statistics and per-method slice summaries (including why slicing was
-// forced off), the alias groups replace the syntactic slicing gates,
-// and obligations of methods unreachable from main() are discharged as
-// unreachable unless certificates are emitted. A method that splits is
-// certified with one boolean program over its slice partition (a
-// SlicePartition certificate under --emit-certs).
+// Under the SCMPIntra engine the report names every method whose
+// component variables split into slices, and every method whose
+// slicing was forced off together with the reason (say, heap component
+// references). A method that splits is certified with one boolean
+// program over its slice partition (a SlicePartition certificate under
+// --emit-certs).
 //
 // --check-only skips the analyzer entirely: it re-derives the trusted
 // inputs (spec, abstraction, client CFG) and runs only cert::Checker
@@ -111,7 +109,7 @@ int usage() {
                "usage: canvas_certify [--engine=scmp-intra|scmp-interproc|"
                "tvla-independent|tvla-relational|generic-allocsite]\n"
                "                      [--spec=FILE|cmp|grp|imp|aop]\n"
-               "                      [--print-abstraction] [--points-to]\n"
+               "                      [--print-abstraction]\n"
                "                      [--emit-certs=FILE] [--check-certs]\n"
                "                      [--store=DIR] [--store-mode=rw|ro]\n"
                "                      [--bench-label=NAME]\n"
@@ -277,7 +275,6 @@ int main(int argc, char **argv) {
   std::string DiffArg;
   std::string BenchLabel;
   bool PrintAbstraction = false;
-  bool PointsTo = false;
   bool CheckCerts = false;
   bool CheckOnly = false;
   bool ListFaultSites = false;
@@ -290,8 +287,6 @@ int main(int argc, char **argv) {
       SpecArg = Arg + 7;
     } else if (std::strcmp(Arg, "--print-abstraction") == 0) {
       PrintAbstraction = true;
-    } else if (std::strcmp(Arg, "--points-to") == 0) {
-      PointsTo = true;
     } else if (std::strncmp(Arg, "--emit-certs=", 13) == 0) {
       EmitCertsPath = Arg + 13;
     } else if (std::strcmp(Arg, "--check-certs") == 0) {
@@ -369,7 +364,6 @@ int main(int argc, char **argv) {
     return usage();
 
   core::CertifierOptions Opts;
-  Opts.PointsTo = PointsTo;
   Opts.EmitCertificates = !EmitCertsPath.empty() || CheckCerts;
   Opts.CheckCertificates = CheckCerts;
   Opts.StorePath = StorePath;

@@ -8,7 +8,7 @@
 //   Certify a corpus across N worker processes:
 //     canvas_shard --corpus=DIR --shards=4 [--out=FILE] [--no-stream]
 //                  [--spec=cmp|grp|imp|aop|FILE] [--engine=NAME]
-//                  [--points-to] [--store=DIR] [--store-mode=rw|ro]
+//                  [--store=DIR] [--store-mode=rw|ro]
 //                  [--budget-*=N] [--bench-label=NAME]
 //
 //   Serial reference (same merged report, one process):
@@ -52,8 +52,8 @@ int usage() {
       "       canvas_shard --corpus=DIR [--shards=N] [--serial] [--out=FILE]\n"
       "                    [--no-stream] [--bench-label=NAME] [worker flags]\n"
       "       canvas_shard --worker [worker flags]\n"
-      "worker flags: --spec=cmp|grp|imp|aop|FILE --engine=NAME --points-to\n"
-      "              --store=DIR --store-mode=rw|ro --budget-deadline-us=N\n"
+      "worker flags: --spec=cmp|grp|imp|aop|FILE --engine=NAME --store=DIR\n"
+      "              --store-mode=rw|ro --budget-deadline-us=N\n"
       "              --budget-iterations=N --budget-structures=N\n"
       "              --budget-alloc-bytes=N\n");
   return 2;

@@ -37,10 +37,8 @@ enum class CertKind : uint8_t {
   TvlaRelational = 4,  ///< Structure set per point.
   AllocSite = 5,       ///< Allocation-site states + summarized sites.
   /// SCMPIntra annotation of a partitioned boolean program plus the
-  /// evidence that the slice partition itself is sound (must-assigned
-  /// annotation, and — when slicing was justified by points-to — the
-  /// whole-program points-to solution, revalidated against a
-  /// checker-regenerated constraint system).
+  /// evidence that the slice partition itself is sound (a must-assigned
+  /// annotation; the checker re-derives the syntactic gates).
   SlicePartition = 6,
 };
 

@@ -21,7 +21,6 @@
 #include "cert/Emit.h"
 #include "core/GenericBaseline.h"
 #include "dataflow/Dataflow.h"
-#include "dataflow/PointsTo.h"
 #include "dataflow/PreAnalysis.h"
 #include "ifds/Solver.h"
 #include "support/Budget.h"
@@ -31,7 +30,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -227,17 +225,6 @@ bool claimsHold(const Certificate &C, const bp::BooleanProgram &BP,
 
 } // namespace
 
-std::shared_ptr<const Checker::PTRevalidation>
-Checker::cachedRevalidation() const {
-  std::lock_guard<std::mutex> L(PTCacheMu);
-  return PTCache;
-}
-
-void Checker::cacheRevalidation(std::shared_ptr<const PTRevalidation> R) const {
-  std::lock_guard<std::mutex> L(PTCacheMu);
-  PTCache = std::move(R);
-}
-
 const cj::CFGMethod *Checker::findUnit(const std::string &Unit) const {
   for (const cj::CFGMethod &M : CFG.Methods)
     if (M.name() == Unit)
@@ -334,7 +321,7 @@ CheckResult Checker::checkSlicePartition(const Certificate &C) const {
   Reader R(C.Payload);
   const uint8_t Mode = R.u8();
   const bool AssumeChecksPass = R.u8() != 0;
-  if (Mode > 1)
+  if (Mode != 0)
     return fail("bad partition mode");
   if (R.u32() != static_cast<uint32_t>(M->NumNodes))
     return fail("node-count mismatch");
@@ -453,148 +440,38 @@ CheckResult Checker::checkSlicePartition(const Certificate &C) const {
     return Ok;
   };
 
-  if (Mode == 0) {
-    // Local gates: without points-to evidence the partition is sound
-    // only when no reference escapes the intraprocedural copy algebra.
-    if (M->HasHeapComponentRefs)
-      return fail("heap component references without points-to evidence");
-    for (const cj::CFGEdge &E : M->Edges)
-      if (E.Act.K == cj::Action::Kind::Havoc ||
-          E.Act.K == cj::Action::Kind::OpaqueEffect)
-        return fail("havocked component reference without points-to evidence");
-    int PSlice = -1;
-    for (const cj::CParam &P : M->Method->Params) {
-      auto It = SliceOf.find(P.Name);
-      if (It == SliceOf.end())
-        continue;
-      if (PSlice < 0)
-        PSlice = It->second;
-      else if (PSlice != It->second)
-        return fail("parameters split across slices");
-    }
-    bool DefinesRet = false;
-    for (const cj::CFGEdge &E : M->Edges)
-      if (const std::string *Def = dataflow::actionDef(E.Act))
-        DefinesRet |= *Def == "$ret";
-    if (DefinesRet && PSlice >= 0) {
-      auto It = SliceOf.find("$ret");
-      if (It != SliceOf.end() && It->second != PSlice)
-        return fail("'$ret' split from the parameters");
-    }
-    for (const cj::CFGEdge &E : M->Edges)
-      if (!SameSlice(E.Act))
-        return fail("an action relates variables across slices");
-  } else {
-    // Points-to evidence: regenerate the constraint system from the
-    // trusted (program, spec) pair, validate the supplied solution with
-    // one closure sweep (any post-fixpoint over-approximates the least
-    // solution, and shrinking a set to hide an alias breaks closure),
-    // and require the resulting may-interfere groups to respect the
-    // partition. Client-call edges need no syntactic sweep — callee
-    // interference surfaces in the groups. The whole-program solution
-    // is identical across every method's certificate, so a solution
-    // byte-equal to one this checker already revalidated reuses the
-    // cached reachability and groups instead of re-deriving the system
-    // (see PTRevalidation).
-    if (!CFG.Prog)
-      return fail("client program unavailable for points-to revalidation");
-    std::shared_ptr<const PTRevalidation> Cached = cachedRevalidation();
-    const uint32_t NumNodes = R.u32();
-    if (Cached && Cached->NumNodes != NumNodes)
-      Cached.reset();
-    dataflow::PTSystem Sys;
-    bool HaveSys = false;
-    uint32_t NumObjs = 0;
-    if (Cached) {
-      NumObjs = Cached->NumObjs;
-    } else {
-      Sys = dataflow::generateConstraints(*CFG.Prog, Spec);
-      HaveSys = true;
-      if (R.failed() || NumNodes != static_cast<uint32_t>(Sys.Nodes.size()))
-        return fail("points-to node-count mismatch against regenerated system");
-      NumObjs = static_cast<uint32_t>(Sys.Objects.size());
-    }
-    dataflow::PointsToSolution Sol;
-    Sol.VarPts.resize(NumNodes);
-    auto ReadSet = [&](std::set<int> &S) {
-      uint32_t K = R.u32();
-      if (R.failed() || K > NumObjs)
-        return false;
-      for (uint32_t J = 0; J != K; ++J) {
-        uint32_t O = R.u32();
-        if (R.failed() || O >= NumObjs)
-          return false;
-        S.insert(static_cast<int>(O));
-      }
-      return true;
-    };
-    for (uint32_t N = 0; N != NumNodes; ++N)
-      if (!ReadSet(Sol.VarPts[N]))
-        return fail("malformed points-to set");
-    const uint32_t NumFields = R.u32();
-    for (uint32_t I = 0; I != NumFields; ++I) {
-      uint32_t O = R.u32();
-      std::string F = R.str();
-      if (R.failed() || O >= NumObjs)
-        return fail("malformed points-to field entry");
-      std::set<int> S;
-      if (!ReadSet(S))
-        return fail("malformed points-to field set");
-      Sol.FieldPts.emplace(std::make_pair(static_cast<int>(O), std::move(F)),
-                           std::move(S));
-    }
-    std::shared_ptr<const PTRevalidation> Val;
-    if (Cached && Cached->Sol.VarPts == Sol.VarPts &&
-        Cached->Sol.FieldPts == Sol.FieldPts) {
-      Val = std::move(Cached); // Same solution: closure already proved.
-    } else {
-      if (!HaveSys) {
-        Sys = dataflow::generateConstraints(*CFG.Prog, Spec);
-        HaveSys = true;
-        if (NumNodes != static_cast<uint32_t>(Sys.Nodes.size()))
-          return fail(
-              "points-to node-count mismatch against regenerated system");
-      }
-      std::string Why;
-      if (!dataflow::checkSolutionClosed(Sys, Sol, Why))
-        return fail("points-to solution not closed: " + Why);
-      auto Fresh = std::make_shared<PTRevalidation>();
-      Fresh->NumNodes = NumNodes;
-      Fresh->NumObjs = NumObjs;
-      Fresh->Sol = std::move(Sol);
-      Fresh->Reachable = Sys.reachableFromMain();
-      Fresh->Groups =
-          dataflow::computeAliasGroups(Sys, Fresh->Sol, Fresh->Reachable);
-      cacheRevalidation(Fresh);
-      Val = std::move(Fresh);
-    }
-    if (!Val->Reachable.count(C.Unit))
-      return fail("method not reachable from main under the closed world");
-    auto GIt = Val->Groups.find(C.Unit);
-    if (GIt != Val->Groups.end())
-      for (const std::vector<std::string> &G : GIt->second.Groups) {
-        int S = -1;
-        for (const std::string &V : G) {
-          auto It = SliceOf.find(V);
-          if (It == SliceOf.end())
-            continue;
-          if (S < 0)
-            S = It->second;
-          else if (S != It->second)
-            return fail("may-interfere group split across slices");
-        }
-      }
-    // Belt and braces: instance-relating actions named on the CFG must
-    // still be co-sliced regardless of what the groups say.
-    for (const cj::CFGEdge &E : M->Edges) {
-      if (E.Act.K != cj::Action::Kind::AllocComp &&
-          E.Act.K != cj::Action::Kind::CompCall &&
-          E.Act.K != cj::Action::Kind::Copy)
-        continue;
-      if (!SameSlice(E.Act))
-        return fail("an instance-relating action spans slices");
-    }
+  // The gates shared with the engine-side slicer: the partition is
+  // sound only when no reference escapes the intraprocedural copy
+  // algebra, parameters and the assigned return slot stay together, and
+  // no action relates variables of two slices.
+  if (M->HasHeapComponentRefs)
+    return fail("heap component references");
+  for (const cj::CFGEdge &E : M->Edges)
+    if (E.Act.K == cj::Action::Kind::Havoc ||
+        E.Act.K == cj::Action::Kind::OpaqueEffect)
+      return fail("havocked component reference");
+  int PSlice = -1;
+  for (const cj::CParam &P : M->Method->Params) {
+    auto It = SliceOf.find(P.Name);
+    if (It == SliceOf.end())
+      continue;
+    if (PSlice < 0)
+      PSlice = It->second;
+    else if (PSlice != It->second)
+      return fail("parameters split across slices");
   }
+  bool DefinesRet = false;
+  for (const cj::CFGEdge &E : M->Edges)
+    if (const std::string *Def = dataflow::actionDef(E.Act))
+      DefinesRet |= *Def == "$ret";
+  if (DefinesRet && PSlice >= 0) {
+    auto It = SliceOf.find("$ret");
+    if (It != SliceOf.end() && It->second != PSlice)
+      return fail("'$ret' split from the parameters");
+  }
+  for (const cj::CFGEdge &E : M->Edges)
+    if (!SameSlice(E.Act))
+      return fail("an action relates variables across slices");
 
   // --- The one annotation, over the partitioned program rebuilt from
   // trusted inputs and validated like a plain BoolIntra certificate.

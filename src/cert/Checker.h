@@ -23,13 +23,9 @@
 
 #include "cert/Certificate.h"
 #include "client/CFG.h"
-#include "dataflow/PointsTo.h"
 #include "easl/AST.h"
 #include "wp/Abstraction.h"
 
-#include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 
 namespace canvas {
@@ -82,33 +78,9 @@ private:
 
   const cj::CFGMethod *findUnit(const std::string &Unit) const;
 
-  /// One revalidated points-to solution: the constraint system is
-  /// regenerated from the trusted (program, spec) pair — both fixed for
-  /// this checker — the solution closure-checked, and the reachability
-  /// and alias groups derived once. Mode-1 SlicePartition certificates
-  /// all ship the same whole-program solution, so after the first
-  /// method's certificate pays for the sweep, the rest compare their
-  /// decoded solution against the cached one and reuse the groups
-  /// instead of re-deriving the system per certificate. Purely a memo:
-  /// a certificate whose solution differs takes (and re-caches) the
-  /// full path.
-  struct PTRevalidation {
-    uint32_t NumNodes = 0;
-    uint32_t NumObjs = 0;
-    dataflow::PointsToSolution Sol;
-    std::set<std::string> Reachable;
-    std::map<std::string, dataflow::MethodAliasInfo> Groups;
-  };
-  std::shared_ptr<const PTRevalidation> cachedRevalidation() const;
-  void cacheRevalidation(std::shared_ptr<const PTRevalidation> R) const;
-
   const easl::Spec &Spec;
   const wp::DerivedAbstraction &Abs;
   const cj::ClientCFG &CFG;
-  /// check() is const and may run from concurrent supervisor tasks; the
-  /// memo above is the only mutable state and is guarded here.
-  mutable std::mutex PTCacheMu;
-  mutable std::shared_ptr<const PTRevalidation> PTCache;
 };
 
 } // namespace cert

@@ -1,7 +1,6 @@
 #include "cert/Emit.h"
 
 #include "dataflow/Dataflow.h"
-#include "dataflow/PointsTo.h"
 #include "ifds/Solver.h"
 #include "support/Interner.h"
 #include "tvla/Transfer.h"
@@ -176,12 +175,6 @@ std::vector<Claim> provenClaims(const std::vector<core::CheckOutcome> &Rs) {
   return Out;
 }
 
-void writeObjSet(Writer &W, const std::set<int> &S) {
-  W.u32(static_cast<uint32_t>(S.size()));
-  for (int Obj : S)
-    W.u32(static_cast<uint32_t>(Obj));
-}
-
 } // namespace
 
 Certificate cert::emitBoolIntra(const bp::BooleanProgram &BP,
@@ -208,7 +201,7 @@ Certificate cert::emitSlicePartition(
     const std::vector<std::vector<std::string>> &Parts,
     const bp::BooleanProgram &BP, const bp::IntraResult &R,
     const std::vector<dataflow::BitVector> &MayUninit,
-    const dataflow::PointsToResult *PT, bool AssumeChecksPass) {
+    bool AssumeChecksPass) {
   const cj::CFGMethod &M = *BP.CFG;
   Certificate C;
   C.Kind = CertKind::SlicePartition;
@@ -216,7 +209,7 @@ Certificate cert::emitSlicePartition(
   C.Claims = provenClaims(R.CheckResults);
 
   Writer W;
-  W.u8(PT ? 1 : 0);
+  W.u8(0); // Partition mode: the syntactic gates are the only evidence.
   W.u8(AssumeChecksPass ? 1 : 0);
   W.u32(static_cast<uint32_t>(M.NumNodes));
   W.u32(static_cast<uint32_t>(M.CompVars.size()));
@@ -245,24 +238,6 @@ Certificate cert::emitSlicePartition(
     W.u32(static_cast<uint32_t>(Part.size()));
     for (const std::string &V : Part)
       W.str(V);
-  }
-
-  // Mode-1 evidence: the points-to solution, node-indexed against the
-  // constraint system the checker regenerates from the trusted
-  // (program, spec) pair. Only the solution ships — the system itself
-  // is recomputed, so tampering with constraints is impossible and
-  // tampering with the solution breaks the closure sweep.
-  if (PT) {
-    const dataflow::PointsToSolution &Sol = PT->Sol;
-    W.u32(static_cast<uint32_t>(PT->Sys.Nodes.size()));
-    for (size_t N = 0; N != PT->Sys.Nodes.size(); ++N)
-      writeObjSet(W, Sol.pts(static_cast<int>(N)));
-    W.u32(static_cast<uint32_t>(Sol.FieldPts.size()));
-    for (const auto &[Key, S] : Sol.FieldPts) {
-      W.u32(static_cast<uint32_t>(Key.first));
-      W.str(Key.second);
-      writeObjSet(W, S);
-    }
   }
 
   W.u32(static_cast<uint32_t>(BP.Vars.size()));

@@ -27,10 +27,6 @@
 #include "tvla/Certify.h"
 
 namespace canvas {
-namespace dataflow {
-struct PointsToResult;
-} // namespace dataflow
-
 namespace cert {
 
 /// Certificate for one method's intraprocedural possible-value run.
@@ -44,11 +40,9 @@ Certificate emitBoolIntra(const bp::BooleanProgram &BP,
 /// Certificate for one method whose boolean program \p BP was built
 /// over the slice partition \p Parts (bp::buildBooleanProgram with
 /// parts): the partition, the evidence that it is sound — the
-/// definite-assignment fixpoint as a must-assigned annotation and, when
-/// the partition came from whole-program points-to (\p PT non-null,
-/// mode 1), the points-to solution for the checker to revalidate
-/// against its own regenerated constraint system — and the program's
-/// one possible-value annotation (same encoding as emitBoolIntra).
+/// definite-assignment fixpoint as a must-assigned annotation — and the
+/// program's one possible-value annotation (same encoding as
+/// emitBoolIntra).
 /// Claims index BP.Checks, which is the unpartitioned program's check
 /// list. \p MayUninit is the per-node definite-assignment fixpoint of
 /// the method (empty inner vector = entry-unreachable node).
@@ -56,7 +50,6 @@ Certificate
 emitSlicePartition(const std::vector<std::vector<std::string>> &Parts,
                    const bp::BooleanProgram &BP, const bp::IntraResult &R,
                    const std::vector<dataflow::BitVector> &MayUninit,
-                   const dataflow::PointsToResult *PT,
                    bool AssumeChecksPass = true);
 
 /// Certificate for a whole-program interprocedural solve: the full

@@ -7,8 +7,6 @@
 #include "client/CFG.h"
 #include "core/GenericBaseline.h"
 #include "core/Replay.h"
-#include "dataflow/Escape.h"
-#include "dataflow/PointsTo.h"
 #include "dataflow/PreAnalysis.h"
 #include "store/InputHash.h"
 #include "support/TaskPool.h"
@@ -87,20 +85,6 @@ std::string CertificationReport::str() const {
   if (!Lints.empty())
     Out += ", " + std::to_string(Lints.size()) + " lint warning(s)";
   Out += "\n";
-  if (PointsTo.Enabled) {
-    Out += "points-to: " + std::to_string(PointsTo.Objects) + " object(s), " +
-           std::to_string(PointsTo.Constraints) + " constraint(s), " +
-           std::to_string(PointsTo.ReachableMethods) + "/" +
-           std::to_string(PointsTo.TotalMethods) +
-           " method(s) reachable, sites: " +
-           std::to_string(PointsTo.LocalSites) + " local, " +
-           std::to_string(PointsTo.ArgSites) + " arg-escaping, " +
-           std::to_string(PointsTo.HeapSites) + " heap-escaping";
-    if (PointsTo.PrunedMethods)
-      Out += ", " + std::to_string(PointsTo.PrunedMethods) +
-             " unreachable method(s) pruned";
-    Out += "\n";
-  }
   for (const MethodSliceSummary &MS : SliceSummaries) {
     if (MS.ForcedSingleReason.empty() && MS.Slices < 2)
       continue;
@@ -125,20 +109,6 @@ std::string CertificationReport::str() const {
 namespace canvas {
 namespace core {
 namespace detail {
-/// See Certifier.h: the memo of the last whole-program points-to
-/// solution. Valid distinguishes "no entry yet" from a cached solve; a
-/// failed (budget-exhausted / fault-injected) solve is never cached, so
-/// every certify() re-attempts it and degrades the same way.
-struct PointsToCache {
-  std::mutex Mu;
-  bool Valid = false;
-  uint64_t Key = 0;
-  std::shared_ptr<const dataflow::PointsToResult> Result;
-  PointsToReport Stats; ///< Solve-time statistics, replayed on a hit so
-                        ///< the report's "points-to:" line is
-                        ///< byte-identical to the cold run.
-};
-
 struct StoreCache {
   std::mutex Mu;
   std::unique_ptr<store::CertStore> Store;
@@ -155,7 +125,6 @@ Certifier::Certifier(std::string_view SpecSource, EngineKind Engine,
                      const wp::DerivationOptions &DOpts,
                      const CertifierOptions &Opts)
     : Engine(Engine), Opts(Opts),
-      PTCache(std::make_shared<detail::PointsToCache>()),
       SCache(std::make_shared<detail::StoreCache>()) {
   // Hashed before parsing so the store key covers the spec exactly as
   // written: any textual edit invalidates every derived entry.
@@ -195,7 +164,6 @@ struct UnitRun {
   DiagnosticEngine Diags;
   /// The engine's counters for this unit, summed over the rung.
   bool Analyzed = false; ///< SCMPIntra built and solved its program.
-  bool Pruned = false;   ///< SCMPIntra discharged it as unreachable.
   size_t BoolVars = 0;
   TVLAStats Tvla;
   double EmitMicros = 0;
@@ -222,7 +190,6 @@ struct EngineRun {
   std::vector<UnitRun> Units;
   std::vector<LintFinding> Lints;
   PreAnalysisSummary Pre;
-  PointsToReport PointsTo;
   std::vector<MethodSliceSummary> SliceSummaries;
   InterprocStats Inter;
   TVLAStats Tvla;
@@ -238,14 +205,6 @@ template <typename Fn> auto timed(double &Micros, Fn &&F) {
   auto T1 = std::chrono::steady_clock::now();
   Micros += std::chrono::duration<double, std::micro>(T1 - T0).count();
   return Result;
-}
-
-/// The option knobs folded into every store key: anything that can
-/// change a verdict or a printed analysis artifact. Worker counts and
-/// stage budgets are deliberately excluded — merges are canonical in
-/// unit order, so they affect wall-clock, never results.
-std::string storeOptionsFingerprint(const CertifierOptions &O) {
-  return O.PointsTo ? "v1:pt1" : "v1:pt0";
 }
 
 /// Gates a store hit before it may answer: the store is untrusted bytes
@@ -458,15 +417,12 @@ obligationAbstraction(const wp::DerivedAbstraction &Abs,
   return nullptr;
 }
 
-/// Reports every requires obligation of \p M with a fixed \p Outcome:
-/// the lint-only floor of the ladder (conservative Potential, marked
-/// Degraded with \p Note), and closed-world pruning (Unreachable, not
-/// degraded — the method provably never runs).
+/// Reports every requires obligation of \p M as a conservative
+/// Potential marked Degraded with \p Note: the lint-only floor of the
+/// ladder.
 void enumerateObligations(const wp::DerivedAbstraction &Abs,
                           const cj::CFGMethod &M, const std::string &Note,
-                          std::vector<CheckVerdict> &Out,
-                          CheckOutcome Outcome = CheckOutcome::Potential,
-                          bool Degraded = true) {
+                          std::vector<CheckVerdict> &Out) {
   for (size_t E = 0; E != M.Edges.size(); ++E) {
     const wp::MethodAbstraction *MA =
         obligationAbstraction(Abs, M, M.Edges[E].Act);
@@ -479,63 +435,11 @@ void enumerateObligations(const wp::DerivedAbstraction &Abs,
       V.What = M.Edges[E].Act.str() + " requires !" +
                MA->RequiresFalse[R].first.str(Abs.Families);
       V.ReqLoc = MA->RequiresFalse[R].second;
-      V.Outcome = Outcome;
-      V.Degraded = Degraded;
-      if (Degraded)
-        V.DegradeNote = Note;
+      V.Outcome = CheckOutcome::Potential;
+      V.Degraded = true;
+      V.DegradeNote = Note;
       Out.push_back(std::move(V));
     }
-  }
-}
-
-/// Solves (or replays from \p PTC) the whole-program points-to &
-/// escape pre-analysis, filling \p Stats. A failure (budget
-/// exhaustion, the injected "points-to" fault) returns null: the
-/// engine then keeps the syntactic slicing gates, which stay sound
-/// without the solution, instead of failing the rung. If the budget is
-/// exhausted the engine's own next tick fails the rung as usual.
-/// Failed solves are never memoized.
-std::shared_ptr<const dataflow::PointsToResult>
-solvePointsTo(const easl::Spec &S, const cj::ClientCFG &CFG,
-              detail::PointsToCache *PTC, support::CancelToken &Tok,
-              PointsToReport &Stats) {
-  // The solve is whole-program and the spec/abstraction are fixed per
-  // certifier, so the structural program hash alone keys the memo;
-  // hashing is linear in the CFG, the solve is not.
-  const uint64_t Key =
-      store::programInputHash(CFG, /*Context=*/0x70742D6361636865ULL);
-  if (PTC) {
-    std::lock_guard<std::mutex> L(PTC->Mu);
-    if (PTC->Valid && PTC->Key == Key) {
-      Stats = PTC->Stats;
-      return PTC->Result;
-    }
-  }
-  try {
-    auto Result = std::make_shared<dataflow::PointsToResult>(
-        dataflow::analyzePointsTo(*CFG.Prog, S, &Tok));
-    dataflow::EscapeResult Esc =
-        dataflow::classifyEscapes(Result->Sys, Result->Sol);
-    Stats.Enabled = true;
-    Stats.HasMain = Result->Sys.HasMain;
-    Stats.Objects = Result->Stats.Objects;
-    Stats.Constraints = Result->Stats.Constraints;
-    Stats.Iterations = Result->Stats.Iterations;
-    Stats.ReachableMethods = Result->Stats.ReachableMethods;
-    Stats.TotalMethods = Result->Stats.TotalMethods;
-    Stats.LocalSites = Esc.NumLocal;
-    Stats.ArgSites = Esc.NumArg;
-    Stats.HeapSites = Esc.NumHeap;
-    if (PTC) {
-      std::lock_guard<std::mutex> L(PTC->Mu);
-      PTC->Valid = true;
-      PTC->Key = Key;
-      PTC->Result = Result;
-      PTC->Stats = Stats;
-    }
-    return Result;
-  } catch (const CertifyError &) {
-    return nullptr;
   }
 }
 
@@ -565,7 +469,6 @@ void runUnits(EngineRun &Run, const StoreHits &Hits,
   for (const UnitRun &U : Run.Units) {
     Diags.mergeFrom(U.Diags);
     Run.Pre.SliceRuns += U.Analyzed;
-    Run.PointsTo.PrunedMethods += U.Pruned;
     Run.BoolVars += U.BoolVars;
     Run.MaxBoolVars = std::max(Run.MaxBoolVars, U.BoolVars);
     Run.Tvla.InternedStructures += U.Tvla.InternedStructures;
@@ -586,22 +489,14 @@ void runUnits(EngineRun &Run, const StoreHits &Hits,
 void runEngine(EngineKind K, const easl::Spec &S,
                const wp::DerivedAbstraction &Abs,
                const CertifierOptions &Opts, const cj::ClientCFG &CFG,
-               const StoreHits &Hits, detail::PointsToCache *PTC,
-               DiagnosticEngine &Diags, support::CancelToken &Tok,
-               support::TaskPool &Pool, EngineRun &Run) {
-  // Optional whole-program points-to & escape pre-analysis: its
-  // per-method may-interfere groups replace the syntactic slicing
-  // gates.
-  std::shared_ptr<const dataflow::PointsToResult> PT;
-  if (K == EngineKind::SCMPIntra && Opts.PointsTo && CFG.Prog)
-    PT = solvePointsTo(S, CFG, PTC, Tok, Run.PointsTo);
-
+               const StoreHits &Hits, DiagnosticEngine &Diags,
+               support::CancelToken &Tok, support::TaskPool &Pool,
+               EngineRun &Run) {
   // Stage 0 runs for every engine: the lint, plus the slice partition
   // SCMPIntra builds its boolean programs over.
   dataflow::PreAnalysisOptions PreOpts;
   PreOpts.Slice = K == EngineKind::SCMPIntra;
   PreOpts.Cancel = &Tok;
-  PreOpts.PointsTo = PT.get();
   const dataflow::PreAnalysisResult PA = dataflow::preAnalyze(CFG, Abs, PreOpts);
   attachLints(Run.Lints, PA);
 
@@ -619,21 +514,9 @@ void runEngine(EngineKind K, const easl::Spec &S,
         Run.SliceSummaries.push_back(
             {Plan.Source->name(), static_cast<unsigned>(Plan.Slices.size()),
              Plan.ForcedSingleReason ? Plan.ForcedSingleReason : ""});
-    // Closed-world pruning: under a solved points-to system with a
-    // main() method, a method unreachable along the resolved call graph
-    // never executes, so its obligations are discharged as Unreachable
-    // without running the engine. Under certificate emission every
-    // method is analyzed instead, so every unit carries a certificate.
-    const bool Prune = PT && PT->Sys.HasMain && !Opts.EmitCertificates;
-    Analyze = [&, Prune](size_t MI, UnitRun &Out) {
+    Analyze = [&](size_t MI, UnitRun &Out) {
       const cj::CFGMethod &M = CFG.Methods[MI];
       const dataflow::MethodPlan &Plan = PA.Plans[MI];
-      if (Prune && !PT->Reachable.count(Out.Name)) {
-        Out.Pruned = true;
-        enumerateObligations(Abs, M, "", Out.Checks, CheckOutcome::Unreachable,
-                             false);
-        return;
-      }
       // One boolean program per method: over the Stage-0 partition,
       // instances spanning two slices fold to constant false, and the
       // checks, verdicts and witnesses are the unpartitioned program's.
@@ -646,14 +529,9 @@ void runEngine(EngineKind K, const easl::Spec &S,
       Out.BoolVars = BP.Vars.size();
       if (Opts.EmitCertificates)
         Out.Cert = timed(Out.EmitMicros, [&] {
-          if (!Split)
-            return cert::emitBoolIntra(BP, R);
-          // Mode-1 (points-to) evidence only when the partition used
-          // the alias groups; a syntactic partition is checkable by the
-          // local gates alone.
-          const bool Alias = PT && PT->aliasFor(Out.Name);
-          return cert::emitSlicePartition(Plan.Slices, BP, R, Plan.MayUninit,
-                                          Alias ? PT.get() : nullptr);
+          return Split ? cert::emitSlicePartition(Plan.Slices, BP, R,
+                                                  Plan.MayUninit)
+                       : cert::emitBoolIntra(BP, R);
         });
       std::vector<WitnessTrace> Witnesses;
       if (R.numFlagged())
@@ -764,27 +642,11 @@ StoreSession lookupStore(detail::StoreCache &Cache, const Certifier &C,
     uint64_t &Ctx = Use.context();
     if (!Ctx)
       Ctx = store::contextFingerprint(SpecHash, C.abstraction().str(),
-                                      engineName(C.engine()),
-                                      storeOptionsFingerprint(Opts));
-    if (C.engine() == EngineKind::SCMPInterproc) {
+                                      engineName(C.engine()));
+    if (C.engine() == EngineKind::SCMPInterproc)
       Store.Keys[std::string()] = store::programInputHash(CFG, Ctx);
-    } else {
+    else
       Store.Keys = store::methodInputHashes(CFG, Ctx);
-      if (Opts.PointsTo) {
-        // The whole-program points-to pre-analysis couples every
-        // method to the full program (alias groups and closed-world
-        // reachability can shift under any edit), so fold the program
-        // hash into each per-method key.
-        const uint64_t ProgHash = store::programInputHash(CFG, Ctx);
-        for (auto &UnitAndHash : Store.Keys) {
-          cert::Writer W;
-          W.u64(UnitAndHash.second);
-          W.u64(ProgHash);
-          UnitAndHash.second =
-              cert::fnv1a(W.buffer().data(), W.buffer().size());
-        }
-      }
-    }
     for (const auto &[Unit, Hash] : Store.Keys) {
       std::unique_ptr<store::StoreEntry> E;
       try {
@@ -901,7 +763,7 @@ CertificationReport Certifier::certify(const cj::Program &P,
     try {
       EngineRun Run;
       runEngine(K, S, Abs, EOpts, CFG, K == Engine ? Store.Hits : NoHits,
-                PTCache.get(), Diags, Tok, Pool, Run);
+                Diags, Tok, Pool, Run);
 
       // With CheckCertificates, re-validate before accepting the rung: a
       // rejected certificate means the rung's Proven verdicts are not
@@ -943,7 +805,6 @@ CertificationReport Certifier::certify(const cj::Program &P,
       }
       Report.Lints = std::move(Run.Lints);
       Report.Pre = Run.Pre;
-      Report.PointsTo = Run.PointsTo;
       Report.SliceSummaries = std::move(Run.SliceSummaries);
       Report.Inter = Run.Inter;
       Report.Tvla = Run.Tvla;

@@ -84,28 +84,6 @@ struct PreAnalysisSummary {
   unsigned SliceRuns = 0;
 };
 
-/// Statistics of the whole-program points-to & escape pre-analysis
-/// (zero unless CertifierOptions::PointsTo was set and the analysis
-/// completed).
-struct PointsToReport {
-  bool Enabled = false;
-  /// The client had a main() method, so the closed-world reachability
-  /// and alias refinement applied.
-  bool HasMain = false;
-  unsigned Objects = 0;
-  unsigned Constraints = 0;
-  unsigned Iterations = 0;
-  unsigned ReachableMethods = 0;
-  unsigned TotalMethods = 0;
-  /// Methods whose obligations were discharged as Unreachable without
-  /// running the engine (never under EmitCertificates).
-  unsigned PrunedMethods = 0;
-  /// Escape classification of component allocation sites.
-  unsigned LocalSites = 0;
-  unsigned ArgSites = 0;
-  unsigned HeapSites = 0;
-};
-
 /// Per-method slicing outcome of the SCMPIntra engine, surfaced so
 /// clients can see *why* a method's variables did or did not split.
 struct MethodSliceSummary {
@@ -169,7 +147,6 @@ struct CertificationReport {
   std::vector<CheckVerdict> Checks;
   std::vector<LintFinding> Lints;
   PreAnalysisSummary Pre;
-  PointsToReport PointsTo;
   /// Per-method slicing outcomes of the SCMPIntra engine, method order;
   /// only methods with component variables appear.
   std::vector<MethodSliceSummary> SliceSummaries;
@@ -230,17 +207,6 @@ struct CertifierOptions {
   /// Reports are merged in unit order, so the report and diagnostic
   /// stream are byte-identical for every worker count.
   unsigned Workers = 0;
-  /// Run the whole-program points-to & escape pre-analysis before the
-  /// SCMPIntra engine: its per-method may-interfere groups replace the
-  /// syntactic heap/havoc slicing gates, obligations of methods
-  /// unreachable from main() are discharged as Unreachable (unless
-  /// certificates are being emitted), and the report carries the
-  /// PointsToReport statistics. Requires a main() method for the
-  /// refinement to apply; a client without one still gets the
-  /// statistics. On budget exhaustion or an injected "points-to" fault
-  /// the certifier degrades gracefully to the unrefined gates instead
-  /// of failing the rung.
-  bool PointsTo = false;
   /// Emit a proof-carrying certificate per analyzed unit, carrying the
   /// engine's fixpoint evidence for every Safe/Unreachable verdict
   /// (CertificationReport::Certificates). Emission never changes the
@@ -276,13 +242,6 @@ struct CertifierOptions {
 };
 
 namespace detail {
-/// Memo of the last whole-program points-to & escape solution (defined
-/// in Certifier.cpp). The solve is program-global, so certifying N
-/// methods — or re-certifying the same program, as a warm store pass
-/// and the bench harness both do — must not re-run it N times; the
-/// cache is keyed by the structural program hash and shared across
-/// certify() calls on one Certifier.
-struct PointsToCache;
 /// The certifier's persistent store, opened at the first certify() that
 /// has a StorePath and shared, mutex-guarded, by the certifier's copies
 /// (defined in Certifier.cpp). A failed open is not memoized.
@@ -323,8 +282,7 @@ private:
   /// context fingerprint (easl::Spec has no canonical rendering).
   uint64_t SpecHash = 0;
   /// Mutex-guarded; shared_ptr so the incomplete type needs no
-  /// out-of-line destructor and copies of the certifier share the memo.
-  std::shared_ptr<detail::PointsToCache> PTCache;
+  /// out-of-line destructor and copies of the certifier share the store.
   std::shared_ptr<detail::StoreCache> SCache;
 };
 

@@ -1,7 +1,5 @@
 #include "dataflow/PreAnalysis.h"
 
-#include "dataflow/PointsTo.h"
-
 using namespace canvas;
 using namespace canvas::dataflow;
 
@@ -50,10 +48,7 @@ PreAnalysisResult dataflow::preAnalyze(const cj::ClientCFG &CFG,
         Plan.Slices.assign(1, std::move(Vars));
       continue;
     }
-    const MethodAliasInfo *Alias =
-        Opts.PointsTo ? Opts.PointsTo->aliasFor(M.name()) : nullptr;
-    SliceResult SR =
-        computeSlices(M, Vars, HasUninitUses, RetSources, Alias);
+    SliceResult SR = computeSlices(M, Vars, HasUninitUses, RetSources);
     Plan.Slices = std::move(SR.Slices);
     Plan.ForcedSingleReason = SR.ForcedSingleReason;
     if (Plan.multiSlice())

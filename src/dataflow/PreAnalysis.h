@@ -31,8 +31,6 @@
 namespace canvas {
 namespace dataflow {
 
-struct PointsToResult;
-
 struct PreAnalysisOptions {
   /// Compute the slice partition; without it every method with
   /// component variables gets one slice.
@@ -42,10 +40,6 @@ struct PreAnalysisOptions {
   bool EliminateDeadStores = false;
   /// Optional budget handle bounding the Stage-0 fixpoints (not owned).
   support::CancelToken *Cancel = nullptr;
-  /// Optional whole-program points-to result (not owned). When set,
-  /// slicing uses its per-method may-interfere groups instead of the
-  /// syntactic heap/havoc gates — see dataflow/PointsTo.h.
-  const PointsToResult *PointsTo = nullptr;
 };
 
 /// The Stage-0 result for one client method.

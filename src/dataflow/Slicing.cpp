@@ -1,7 +1,5 @@
 #include "dataflow/Slicing.h"
 
-#include "dataflow/PointsTo.h"
-
 #include <map>
 #include <numeric>
 
@@ -34,8 +32,7 @@ private:
 SliceResult dataflow::computeSlices(const cj::CFGMethod &M,
                                     const std::vector<std::string> &Vars,
                                     bool HasUninitUses,
-                                    bool AbsReadsRetSources,
-                                    const MethodAliasInfo *Alias) {
+                                    bool AbsReadsRetSources) {
   SliceResult R;
   if (Vars.empty())
     return R;
@@ -46,24 +43,20 @@ SliceResult dataflow::computeSlices(const cj::CFGMethod &M,
     return R;
   };
 
-  // Gates that hold with or without alias information: both concern
-  // what the boolean program may read, not where references flow.
   if (HasUninitUses)
     return Single("possibly-uninitialized component uses");
   if (AbsReadsRetSources)
     return Single("abstraction reads pre-call 'ret' predicates");
 
-  // Without points-to evidence, any heap traffic or havocked reference
-  // breaks the "cross-slice predicates stay false" invariant, so the
-  // whole method stays one slice.
-  if (!Alias) {
-    if (M.HasHeapComponentRefs)
-      return Single("heap component references");
-    for (const cj::CFGEdge &E : M.Edges)
-      if (E.Act.K == cj::Action::Kind::Havoc ||
-          E.Act.K == cj::Action::Kind::OpaqueEffect)
-        return Single("havocked component reference");
-  }
+  // Any heap traffic or havocked reference breaks the "cross-slice
+  // predicates stay false" invariant, so the whole method stays one
+  // slice.
+  if (M.HasHeapComponentRefs)
+    return Single("heap component references");
+  for (const cj::CFGEdge &E : M.Edges)
+    if (E.Act.K == cj::Action::Kind::Havoc ||
+        E.Act.K == cj::Action::Kind::OpaqueEffect)
+      return Single("havocked component reference");
 
   std::map<std::string, int> Index;
   for (size_t I = 0; I != Vars.size(); ++I)
@@ -84,39 +77,26 @@ SliceResult dataflow::computeSlices(const cj::CFGMethod &M,
       UF.merge(Anchor, I);
   };
 
-  if (Alias) {
-    // The whole-program relatedness groups already close over action
-    // operands, heap aliasing, and interprocedural flow — including
-    // what reaches the parameters from every caller — so they are the
-    // partition, intersected with the method's variables.
-    for (const std::vector<std::string> &G : Alias->Groups) {
-      int Anchor = -1;
-      for (const std::string &V : G)
-        Merge(Anchor, V);
-    }
-  } else {
-    // Parameters may be related before the method runs; the return
-    // slot joins them only when some action actually assigns it (a
-    // method with no return statement cannot relate "$ret" to
-    // anything).
-    int ParamAnchor = -1;
-    for (const cj::CParam &P : M.Method->Params)
-      Merge(ParamAnchor, P.Name);
-    bool DefinesRet = false;
-    for (const cj::CFGEdge &E : M.Edges)
-      if (const std::string *Def = actionDef(E.Act))
-        DefinesRet |= *Def == "$ret";
-    if (DefinesRet)
-      Merge(ParamAnchor, "$ret");
+  // Parameters may be related before the method runs; the return slot
+  // joins them only when some action actually assigns it (a method
+  // with no return statement cannot relate "$ret" to anything).
+  int ParamAnchor = -1;
+  for (const cj::CParam &P : M.Method->Params)
+    Merge(ParamAnchor, P.Name);
+  bool DefinesRet = false;
+  for (const cj::CFGEdge &E : M.Edges)
+    if (const std::string *Def = actionDef(E.Act))
+      DefinesRet |= *Def == "$ret";
+  if (DefinesRet)
+    Merge(ParamAnchor, "$ret");
 
-    // Any action relating two variables merges their slices.
-    for (const cj::CFGEdge &E : M.Edges) {
-      int Anchor = -1;
-      if (const std::string *Def = actionDef(E.Act))
-        Merge(Anchor, *Def);
-      forEachActionUse(E.Act,
-                       [&](const std::string &Use) { Merge(Anchor, Use); });
-    }
+  // Any action relating two variables merges their slices.
+  for (const cj::CFGEdge &E : M.Edges) {
+    int Anchor = -1;
+    if (const std::string *Def = actionDef(E.Act))
+      Merge(Anchor, *Def);
+    forEachActionUse(E.Act,
+                     [&](const std::string &Use) { Merge(Anchor, Use); });
   }
 
   // Emit slices in declaration order of their first member.

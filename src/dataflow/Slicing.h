@@ -18,17 +18,10 @@
 /// objects — which is what lets the engine fold such instances to
 /// constant false without changing a verdict (see DESIGN.md).
 ///
-/// Without alias information, slicing is forced off (one slice) when
-/// the invariant cannot be established syntactically: heap component
-/// references, havoc/opaque actions, possibly-uninitialized uses, or
-/// abstractions with "ret"-reading update sources. When the caller
-/// supplies a whole-program MethodAliasInfo (dataflow/PointsTo.h), the
-/// heap and havoc gates are replaced by its may-interfere groups —
-/// aliasing through the heap is then tracked, not feared — and
-/// client-call edges stop merging their operands (a resolved call is
-/// an identity frame; interference through the callee already shows up
-/// in the alias groups). The uninitialized-use and ret-reading gates
-/// remain in force either way.
+/// Slicing is forced off (one slice) when the invariant cannot be
+/// established syntactically: heap component references, havoc/opaque
+/// actions, possibly-uninitialized uses, or abstractions with
+/// "ret"-reading update sources.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,8 +36,6 @@
 namespace canvas {
 namespace dataflow {
 
-struct MethodAliasInfo;
-
 struct SliceResult {
   /// Partition of the variables; slices and the variables within them
   /// follow declaration order. Always at least one slice when the
@@ -57,15 +48,10 @@ struct SliceResult {
 
 /// Computes the slice partition of \p Vars (component locals of \p M,
 /// declaration order). \p HasUninitUses and \p AbsReadsRetSources
-/// communicate the Stage-0 gates that force a single slice. \p Alias,
-/// when non-null, must be the points-to relatedness partition computed
-/// for this method over the whole program (PointsToResult::aliasFor);
-/// it relaxes the heap/havoc gates and refines the entry and
-/// client-call merges.
+/// communicate the Stage-0 gates that force a single slice.
 SliceResult computeSlices(const cj::CFGMethod &M,
                           const std::vector<std::string> &Vars,
-                          bool HasUninitUses, bool AbsReadsRetSources,
-                          const MethodAliasInfo *Alias = nullptr);
+                          bool HasUninitUses, bool AbsReadsRetSources);
 
 } // namespace dataflow
 } // namespace canvas

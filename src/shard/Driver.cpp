@@ -303,7 +303,6 @@ bool shard::runSerial(const std::vector<CorpusClient> &Corpus,
   if (!resolveSpec(Opts.Worker.SpecArg, SpecSource, Error))
     return false;
   core::CertifierOptions COpts;
-  COpts.PointsTo = Opts.Worker.PointsTo;
   COpts.StorePath = Opts.Worker.StorePath;
   COpts.StoreMode = Opts.Worker.StoreMode;
   COpts.Budget = Opts.Worker.Budget;

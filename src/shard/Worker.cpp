@@ -47,8 +47,6 @@ std::vector<std::string> shard::workerArgs(const WorkerOptions &O) {
   std::vector<std::string> Args;
   Args.push_back("--spec=" + O.SpecArg);
   Args.push_back("--engine=" + std::string(core::engineName(O.Engine)));
-  if (O.PointsTo)
-    Args.push_back("--points-to");
   if (!O.StorePath.empty()) {
     Args.push_back("--store=" + O.StorePath);
     Args.push_back(std::string("--store-mode=") +
@@ -87,10 +85,6 @@ bool shard::parseWorkerFlag(const std::string &Arg, WorkerOptions &O) {
     if (K)
       O.Engine = *K;
     return K.has_value();
-  }
-  if (Arg == "--points-to") {
-    O.PointsTo = true;
-    return true;
   }
   if (Value("--store=", V)) {
     O.StorePath = V;
@@ -209,7 +203,6 @@ int shard::workerMain(const WorkerOptions &O) {
     return 2;
   }
   core::CertifierOptions Opts;
-  Opts.PointsTo = O.PointsTo;
   Opts.StorePath = O.StorePath;
   Opts.StoreMode = O.StoreMode;
   Opts.Budget = O.Budget;

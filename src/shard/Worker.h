@@ -42,7 +42,6 @@ struct WorkerOptions {
   /// (cmp/grp/imp/aop) or a file path, resolved by resolveSpec().
   std::string SpecArg = "cmp";
   core::EngineKind Engine = core::EngineKind::SCMPIntra;
-  bool PointsTo = false;
   std::string StorePath;
   store::StoreMode StoreMode = store::StoreMode::ReadWrite;
   /// The per-shard admission controller: each engine rung of each

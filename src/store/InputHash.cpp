@@ -102,14 +102,12 @@ struct ClosureWalk {
 
 uint64_t store::contextFingerprint(uint64_t SpecHash,
                                    const std::string &AbsText,
-                                   const std::string &EngineName,
-                                   const std::string &OptionsFingerprint) {
+                                   const std::string &EngineName) {
   cert::Writer W;
   W.u32(EntryFormatVersion);
   W.u64(SpecHash);
   W.str(AbsText);
   W.str(EngineName);
-  W.str(OptionsFingerprint);
   return hashBuffer(W, 0xcbf29ce484222325ull);
 }
 

@@ -42,12 +42,10 @@ namespace store {
 inline constexpr uint32_t EntryFormatVersion = 4;
 
 /// Folds the run-wide certification context into one seed: the FNV-1a
-/// hash of the spec source, the derived abstraction's rendering, the
-/// engine name, and a fingerprint of the verdict-affecting certifier
-/// options.
+/// hash of the spec source, the derived abstraction's rendering, and
+/// the engine name.
 uint64_t contextFingerprint(uint64_t SpecHash, const std::string &AbsText,
-                            const std::string &EngineName,
-                            const std::string &OptionsFingerprint);
+                            const std::string &EngineName);
 
 /// Per-method input hashes keyed by "Class::method". Each hash folds
 /// \p Context, the method's local CFG (nodes, edges, actions with
@@ -61,9 +59,7 @@ std::map<std::string, uint64_t> methodInputHashes(const cj::ClientCFG &CFG,
                                                   uint64_t Context);
 
 /// Whole-program input hash: \p Context plus every method's local hash
-/// in method order. Keys the interprocedural engine's single entry and
-/// is folded into per-method keys when a whole-program refinement
-/// (points-to) couples methods beyond the call graph.
+/// in method order. Keys the interprocedural engine's single entry.
 uint64_t programInputHash(const cj::ClientCFG &CFG, uint64_t Context);
 
 } // namespace store

@@ -9,10 +9,10 @@ using namespace canvas::support;
 
 const std::vector<std::string> &support::faultSites() {
   static const std::vector<std::string> Sites = {
-      "dataflow.solve",     "boolprog.intra", "boolprog.interproc",
-      "ifds.solve",         "tvla.fixpoint",  "generic.allocsite",
-      "cert-check",         "points-to",      "store-open",
-      "store-read",         "store-commit",   "store-recover",
+      "dataflow.solve", "boolprog.intra", "boolprog.interproc",
+      "ifds.solve",     "tvla.fixpoint",  "generic.allocsite",
+      "cert-check",     "store-open",     "store-read",
+      "store-commit",   "store-recover",
   };
   return Sites;
 }

@@ -2,19 +2,21 @@
 // Tests for SlicePartition certificates: the SCMPIntra engine certifies
 // a method that splits into slices with one partitioned boolean program
 // and emits one certificate carrying the partition, the must-assigned
-// gate, (in points-to mode) the whole-program solution, and the one
-// annotation. The independent checker must accept every
-// analyzer-produced certificate and reject every tampered one — moved
-// variables, shrunken points-to sets, inflated must-assigned
-// annotations, flipped modes and claims.
+// gate, and the one annotation. The independent checker must accept
+// every analyzer-produced certificate and reject every tampered or
+// forged one — moved variables, a partition of a method the gates keep
+// whole, inflated must-assigned annotations, a nonzero mode byte, and
+// flipped claims.
 //===----------------------------------------------------------------------===//
 
 #include "cert/Checker.h"
 
+#include "boolprog/Analysis.h"
 #include "cert/Emit.h"
 #include "client/CFG.h"
 #include "client/Parser.h"
 #include "core/Certifier.h"
+#include "dataflow/DefiniteAssignment.h"
 #include "easl/Builtins.h"
 
 #include <gtest/gtest.h>
@@ -26,8 +28,7 @@ using namespace canvas::core;
 
 namespace {
 
-// Four independent pipelines, locals only: sliceable by the syntactic
-// (mode-0) gates alone.
+// Two independent pipelines, locals only: the slicing gates pass.
 const char *PipelinesClient = R"(
   class Pipelines {
     void main() {
@@ -43,8 +44,8 @@ const char *PipelinesClient = R"(
   }
 )";
 
-// Four heap-stashed pipelines: the syntactic gates force a single
-// slice, so only points-to (mode-1) evidence can justify a partition.
+// Four heap-stashed pipelines that never interfere: the heap gate still
+// keeps the method in a single slice.
 const char *StashedPairsClient = R"(
   class Stash {
     Set s;
@@ -90,14 +91,12 @@ struct CertRun {
   }
 };
 
-CertRun makeRun(const char *Client, bool PointsTo,
-                bool CheckInSupervisor = true) {
+CertRun makeRun(const char *Client) {
   CertRun Ru;
   DiagnosticEngine Diags;
   CertifierOptions Opts;
-  Opts.PointsTo = PointsTo;
   Opts.EmitCertificates = true;
-  Opts.CheckCertificates = CheckInSupervisor;
+  Opts.CheckCertificates = true;
   Ru.C = std::make_unique<Certifier>(easl::cmpSpecSource(),
                                      EngineKind::SCMPIntra, Diags,
                                      wp::DerivationOptions{}, Opts);
@@ -133,13 +132,6 @@ struct SP {
   };
   std::vector<DANode> DA;
   std::vector<std::vector<std::string>> Slices;
-  std::vector<std::vector<uint32_t>> Pts; ///< Mode 1 only.
-  struct FieldEntry {
-    uint32_t Obj = 0;
-    std::string Field;
-    std::vector<uint32_t> Set;
-  };
-  std::vector<FieldEntry> Fields; ///< Mode 1 only.
   uint32_t BPVars = 0;
   uint32_t BPChecks = 0;
   /// Per node: the tag plus, for tag 1, the stored state bytes.
@@ -170,22 +162,6 @@ SP parseSP(const std::vector<uint8_t> &Payload) {
     uint32_t Len = R.u32();
     for (uint32_t I = 0; I != Len; ++I)
       Sl.push_back(R.str());
-  }
-  if (S.Mode == 1) {
-    S.Pts.resize(R.u32());
-    for (std::vector<uint32_t> &Set : S.Pts) {
-      uint32_t K = R.u32();
-      for (uint32_t I = 0; I != K; ++I)
-        Set.push_back(R.u32());
-    }
-    S.Fields.resize(R.u32());
-    for (SP::FieldEntry &F : S.Fields) {
-      F.Obj = R.u32();
-      F.Field = R.str();
-      uint32_t K = R.u32();
-      for (uint32_t I = 0; I != K; ++I)
-        F.Set.push_back(R.u32());
-    }
   }
   S.BPVars = R.u32();
   S.BPChecks = R.u32();
@@ -225,22 +201,6 @@ std::vector<uint8_t> buildSP(const SP &S) {
     for (const std::string &V : Sl)
       W.str(V);
   }
-  if (S.Mode == 1) {
-    W.u32(static_cast<uint32_t>(S.Pts.size()));
-    for (const std::vector<uint32_t> &Set : S.Pts) {
-      W.u32(static_cast<uint32_t>(Set.size()));
-      for (uint32_t O : Set)
-        W.u32(O);
-    }
-    W.u32(static_cast<uint32_t>(S.Fields.size()));
-    for (const SP::FieldEntry &F : S.Fields) {
-      W.u32(F.Obj);
-      W.str(F.Field);
-      W.u32(static_cast<uint32_t>(F.Set.size()));
-      for (uint32_t O : F.Set)
-        W.u32(O);
-    }
-  }
   W.u32(S.BPVars);
   W.u32(S.BPChecks);
   for (const std::vector<uint8_t> &N : S.Nodes)
@@ -265,7 +225,7 @@ void expectRejected(const CertRun &Ru, const cert::Certificate &C,
 //===----------------------------------------------------------------------===//
 
 TEST(SlicePartitionTest, SyntacticSlicesEmitAcceptedMode0Certificate) {
-  CertRun Ru = makeRun(PipelinesClient, /*PointsTo=*/false);
+  CertRun Ru = makeRun(PipelinesClient);
   EXPECT_FALSE(Ru.R.Degraded) << Ru.R.str();
   EXPECT_TRUE(Ru.R.CertStats.Checked);
   const cert::Certificate *C = findPartition(Ru.R);
@@ -274,7 +234,6 @@ TEST(SlicePartitionTest, SyntacticSlicesEmitAcceptedMode0Certificate) {
   SP S = parseSP(C->Payload);
   EXPECT_EQ(S.Mode, 0u);
   EXPECT_GE(S.Slices.size(), 2u);
-  EXPECT_TRUE(S.Pts.empty());
 
   cert::CheckResult CR = Ru.checker().check(*C);
   EXPECT_TRUE(CR.Valid) << CR.Reason;
@@ -283,38 +242,20 @@ TEST(SlicePartitionTest, SyntacticSlicesEmitAcceptedMode0Certificate) {
   EXPECT_EQ(Ru.R.Pre.SliceRuns, 1u);
 }
 
-TEST(SlicePartitionTest, HeapClientNeedsPointsToForAPartition) {
-  // Without points-to the heap stores force a single slice and the
-  // method falls back to a plain BoolIntra certificate.
-  CertRun Plain = makeRun(StashedPairsClient, /*PointsTo=*/false);
-  EXPECT_EQ(findPartition(Plain.R), nullptr);
-  ASSERT_FALSE(Plain.R.SliceSummaries.empty());
-  EXPECT_EQ(Plain.R.SliceSummaries[0].Slices, 1u);
-  EXPECT_NE(Plain.R.SliceSummaries[0].ForcedSingleReason.find("heap"),
+TEST(SlicePartitionTest, HeapStoresForceOneSliceAndBoolIntraCertificate) {
+  CertRun Ru = makeRun(StashedPairsClient);
+  EXPECT_FALSE(Ru.R.Degraded) << Ru.R.str();
+  EXPECT_EQ(findPartition(Ru.R), nullptr);
+  ASSERT_FALSE(Ru.R.SliceSummaries.empty());
+  EXPECT_EQ(Ru.R.SliceSummaries[0].Slices, 1u);
+  EXPECT_NE(Ru.R.SliceSummaries[0].ForcedSingleReason.find("heap"),
             std::string::npos);
-
-  // With it, the partition certifies and carries mode-1 evidence.
-  CertRun Pt = makeRun(StashedPairsClient, /*PointsTo=*/true);
-  EXPECT_FALSE(Pt.R.Degraded) << Pt.R.str();
-  const cert::Certificate *C = findPartition(Pt.R);
-  ASSERT_NE(C, nullptr);
-  SP S = parseSP(C->Payload);
-  EXPECT_EQ(S.Mode, 1u);
-  EXPECT_EQ(S.Slices.size(), 4u);
-  EXPECT_FALSE(S.Pts.empty());
-
-  cert::CheckResult CR = Pt.checker().check(*C);
-  EXPECT_TRUE(CR.Valid) << CR.Reason;
-
-  // Both runs agree on every verdict: the partition is
-  // verdict-preserving.
-  ASSERT_EQ(Plain.R.Checks.size(), Pt.R.Checks.size());
-  for (size_t I = 0; I != Plain.R.Checks.size(); ++I)
-    EXPECT_EQ(Plain.R.Checks[I].Outcome, Pt.R.Checks[I].Outcome) << I;
+  ASSERT_EQ(Ru.R.Certificates.size(), 1u);
+  EXPECT_EQ(Ru.R.Certificates[0].Kind, cert::CertKind::BoolIntra);
 }
 
 TEST(SlicePartitionTest, SurvivesSerializationRoundTrip) {
-  CertRun Ru = makeRun(StashedPairsClient, /*PointsTo=*/true);
+  CertRun Ru = makeRun(PipelinesClient);
   ASSERT_NE(findPartition(Ru.R), nullptr);
   std::vector<uint8_t> Blob = cert::serializeCertificates(Ru.R.Certificates);
   std::vector<cert::Certificate> Parsed;
@@ -331,13 +272,13 @@ TEST(SlicePartitionTest, SurvivesSerializationRoundTrip) {
 //===----------------------------------------------------------------------===//
 
 TEST(SlicePartitionTamperTest, MovedVariableAcrossSlicesRejected) {
-  CertRun Ru = makeRun(StashedPairsClient, /*PointsTo=*/true);
+  CertRun Ru = makeRun(PipelinesClient);
   cert::Certificate C = *findPartition(Ru.R);
   SP S = parseSP(C.Payload);
-  ASSERT_EQ(S.Slices.size(), 4u);
+  ASSERT_EQ(S.Slices.size(), 2u);
 
-  // Swap s1 and s2 between the slices: each pipeline's set now sits
-  // apart from its iterator, splitting a may-interfere group.
+  // Swap ia and ib between the slices: each iterator now sits apart
+  // from the set that created it.
   auto Swap = [&](const std::string &A, const std::string &B) {
     for (std::vector<std::string> &Sl : S.Slices)
       for (std::string &V : Sl) {
@@ -347,36 +288,24 @@ TEST(SlicePartitionTamperTest, MovedVariableAcrossSlicesRejected) {
           V = A;
       }
   };
-  Swap("s1", "s2");
+  Swap("ia", "ib");
   C.Payload = buildSP(S);
   C.seal();
-  expectRejected(Ru, C, "variable moved across slices");
+  expectRejected(Ru, C, "variable moved across slices",
+                 "an action relates variables across slices");
 }
 
-TEST(SlicePartitionTamperTest, ShrunkenPointsToSetRejected) {
-  CertRun Ru = makeRun(StashedPairsClient, /*PointsTo=*/true);
+TEST(SlicePartitionTamperTest, NonZeroModeRejected) {
+  CertRun Ru = makeRun(PipelinesClient);
   cert::Certificate C = *findPartition(Ru.R);
-  SP S = parseSP(C.Payload);
-  ASSERT_EQ(S.Mode, 1u);
-
-  // Hide an alias by dropping one element of the first non-empty
-  // points-to set: the solution is no longer closed under the
-  // regenerated constraints.
-  bool Shrunk = false;
-  for (std::vector<uint32_t> &Set : S.Pts)
-    if (!Set.empty()) {
-      Set.pop_back();
-      Shrunk = true;
-      break;
-    }
-  ASSERT_TRUE(Shrunk);
-  C.Payload = buildSP(S);
+  ASSERT_EQ(C.Payload[0], 0u);
+  C.Payload[0] = 1;
   C.seal();
-  expectRejected(Ru, C, "shrunken points-to set", "not closed");
+  expectRejected(Ru, C, "mode byte set to 1", "bad partition mode");
 }
 
 TEST(SlicePartitionTamperTest, InflatedMustAssignedAnnotationRejected) {
-  CertRun Ru = makeRun(PipelinesClient, /*PointsTo=*/false);
+  CertRun Ru = makeRun(PipelinesClient);
   cert::Certificate C = *findPartition(Ru.R);
   const cj::CFGMethod *M = Ru.CFG.findMethod("Pipelines", "main");
   ASSERT_NE(M, nullptr);
@@ -393,7 +322,7 @@ TEST(SlicePartitionTamperTest, InflatedMustAssignedAnnotationRejected) {
 }
 
 TEST(SlicePartitionTamperTest, OutOfRangeMustAssignedVariableRejected) {
-  CertRun Ru = makeRun(PipelinesClient, /*PointsTo=*/false);
+  CertRun Ru = makeRun(PipelinesClient);
   cert::Certificate C = *findPartition(Ru.R);
   SP S = parseSP(C.Payload);
   // Set a padding bit of the last byte: a variable index past the
@@ -412,24 +341,32 @@ TEST(SlicePartitionTamperTest, OutOfRangeMustAssignedVariableRejected) {
   expectRejected(Ru, C, "out-of-range must-assigned variable");
 }
 
-TEST(SlicePartitionTamperTest, StrippedPointsToEvidenceRejected) {
-  CertRun Ru = makeRun(StashedPairsClient, /*PointsTo=*/true);
-  cert::Certificate C = *findPartition(Ru.R);
-  SP S = parseSP(C.Payload);
-  ASSERT_EQ(S.Mode, 1u);
+TEST(SlicePartitionTamperTest, ForgedPartitionOfHeapMethodRejected) {
+  CertRun Ru = makeRun(StashedPairsClient);
+  const cj::CFGMethod *M = Ru.CFG.findMethod("Pairs", "main");
+  ASSERT_NE(M, nullptr);
 
-  // Claim the partition needs no evidence: mode 0 re-imposes the
-  // syntactic gates, and this client's heap stores trip them.
-  S.Mode = 0;
-  S.Pts.clear();
-  S.Fields.clear();
-  C.Payload = buildSP(S);
-  C.seal();
-  expectRejected(Ru, C, "mode flipped to 0", "heap");
+  // The four pipelines never interfere, but the heap stores keep the
+  // engine from proving it: a partition built and solved outside the
+  // engine, with honest must-assigned evidence, is still refused.
+  const std::vector<std::vector<std::string>> Pipelines = {
+      {"s1", "i1"}, {"s2", "i2"}, {"s3", "i3"}, {"s4", "i4"}};
+  ASSERT_EQ(M->CompVars.size(), 8u);
+  DiagnosticEngine Diags;
+  const bp::BooleanProgram BP =
+      bp::buildBooleanProgram(Ru.C->abstraction(), *M, Diags, Pipelines);
+  const bp::IntraResult R = bp::analyzeIntraproc(BP);
+  std::vector<dataflow::BitVector> MayUninit;
+  dataflow::analyzeDefiniteAssignment(*M, dataflow::CFGInfo(*M),
+                                      &Ru.C->abstraction(), nullptr,
+                                      &MayUninit);
+  const cert::Certificate C =
+      cert::emitSlicePartition(Pipelines, BP, R, MayUninit);
+  expectRejected(Ru, C, "forged partition of a heap method", "heap");
 }
 
 TEST(SlicePartitionTamperTest, FlippedClaimRejected) {
-  CertRun Ru = makeRun(PipelinesClient, /*PointsTo=*/false);
+  CertRun Ru = makeRun(PipelinesClient);
   cert::Certificate C = *findPartition(Ru.R);
   size_t SafeIdx = C.Claims.size();
   for (size_t I = 0; I != C.Claims.size(); ++I)
@@ -442,7 +379,7 @@ TEST(SlicePartitionTamperTest, FlippedClaimRejected) {
 }
 
 TEST(SlicePartitionTamperTest, CorruptedByteWithoutResealRejected) {
-  CertRun Ru = makeRun(StashedPairsClient, /*PointsTo=*/true);
+  CertRun Ru = makeRun(PipelinesClient);
   cert::Certificate C = *findPartition(Ru.R);
   C.Payload[C.Payload.size() / 2] ^= 0x40;
   expectRejected(Ru, C, "corrupted payload byte");

@@ -234,7 +234,7 @@ TEST(CertifierTest, RelationalHasNoPrecisionAdvantageOnBenchmarks) {
 }
 
 //===----------------------------------------------------------------------===//
-// Points-to pre-analysis through the Certifier API
+// Slicing outcomes through the Certifier API
 //===----------------------------------------------------------------------===//
 
 const char *StashClient = R"(
@@ -255,21 +255,10 @@ const char *StashClient = R"(
   }
 )";
 
-CertificationReport runWithOptions(const char *Client,
-                                   const CertifierOptions &Opts) {
-  DiagnosticEngine Diags;
-  Certifier C(easl::cmpSpecSource(), EngineKind::SCMPIntra, Diags,
-              wp::DerivationOptions{}, Opts);
-  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
-  CertificationReport R = C.certifySource(Client, Diags);
-  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
-  return R;
-}
-
 TEST(CertifierTest, ForcedSingleReasonSurfacesInReport) {
-  // Without points-to, the heap store forces main() into one slice and
-  // the report says why.
-  CertificationReport R = runWithOptions(StashClient, CertifierOptions{});
+  // The heap store forces main() into one slice and the report says
+  // why.
+  CertificationReport R = runEngine(EngineKind::SCMPIntra, StashClient);
   ASSERT_FALSE(R.SliceSummaries.empty());
   EXPECT_EQ(R.SliceSummaries[0].Method, "C::main");
   EXPECT_EQ(R.SliceSummaries[0].Slices, 1u);
@@ -278,60 +267,6 @@ TEST(CertifierTest, ForcedSingleReasonSurfacesInReport) {
   EXPECT_NE(R.str().find("single slice (heap component references)"),
             std::string::npos)
       << R.str();
-}
-
-TEST(CertifierTest, PointsToStatsSurfaceInReport) {
-  CertifierOptions Opts;
-  Opts.PointsTo = true;
-  CertificationReport R = runWithOptions(StashClient, Opts);
-  EXPECT_TRUE(R.PointsTo.Enabled);
-  EXPECT_TRUE(R.PointsTo.HasMain);
-  EXPECT_GT(R.PointsTo.Objects, 0u);
-  EXPECT_GT(R.PointsTo.Constraints, 0u);
-  EXPECT_GE(R.PointsTo.HeapSites, 1u);
-  EXPECT_EQ(R.PointsTo.ReachableMethods, 1u);
-  EXPECT_NE(R.str().find("points-to:"), std::string::npos) << R.str();
-
-  // The alias refinement splits the two pipelines despite the heap
-  // store, so no forced-single reason remains.
-  ASSERT_FALSE(R.SliceSummaries.empty());
-  EXPECT_EQ(R.SliceSummaries[0].Slices, 2u) << R.str();
-  EXPECT_TRUE(R.SliceSummaries[0].ForcedSingleReason.empty());
-}
-
-TEST(CertifierTest, PointsToPrunesUnreachableMethods) {
-  const char *OrphanClient = R"(
-    class C {
-      void main() {
-        Set s = new Set();
-        Iterator i = s.iterator();
-        i.next();
-      }
-      void orphan() {
-        Set t = new Set();
-        Iterator j = t.iterator();
-        t.add();
-        j.next();
-      }
-    }
-  )";
-  CertifierOptions Opts;
-  Opts.PointsTo = true;
-  CertificationReport R = runWithOptions(OrphanClient, Opts);
-  EXPECT_GE(R.PointsTo.PrunedMethods, 1u) << R.str();
-  bool SawOrphanCheck = false;
-  for (const CheckVerdict &C : R.Checks)
-    if (C.Method == "C::orphan") {
-      SawOrphanCheck = true;
-      EXPECT_EQ(C.Outcome, CheckOutcome::Unreachable) << C.What;
-    }
-  EXPECT_TRUE(SawOrphanCheck);
-
-  // Without the closed-world evidence the orphan's stale-iterator use
-  // is flagged.
-  CertificationReport Plain = runWithOptions(OrphanClient, CertifierOptions{});
-  EXPECT_GT(Plain.numFlagged(), 0u) << Plain.str();
-  EXPECT_EQ(Plain.PointsTo.PrunedMethods, 0u);
 }
 
 TEST(CertifierTest, InterprocFlagsNothingIntraProvesOnGrinder) {

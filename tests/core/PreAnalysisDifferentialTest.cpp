@@ -5,14 +5,12 @@
 // and read for witnesses directly — with certificates off, and with
 // certificates emitted and checked. The partitioned build must keep the
 // unpartitioned check list, a Definite kill in one slice must truncate
-// the paths of another, the Stage-0 lint must fire with exact
-// locations, and under --points-to the report must not depend on
-// certificate emission or the store.
+// the paths of another, and the Stage-0 lint must fire with exact
+// locations.
 //===----------------------------------------------------------------------===//
 
 #include "boolprog/Witness.h"
 #include "core/Certifier.h"
-#include "dataflow/PointsTo.h"
 #include "dataflow/PreAnalysis.h"
 #include "easl/Builtins.h"
 #include "shard/Corpus.h"
@@ -100,8 +98,7 @@ struct DiffStats {
 /// unpartitioned reference. Also compares, for every method that
 /// splits, the partitioned build's check list with the unpartitioned
 /// one in every field except Var.
-DiffStats differential(const std::string &Label, const std::string &Source,
-                       bool PointsTo = false) {
+DiffStats differential(const std::string &Label, const std::string &Source) {
   DiffStats St;
   DiagnosticEngine Diags;
   Certifier C(easl::cmpSpecSource(), EngineKind::SCMPIntra, Diags);
@@ -113,13 +110,11 @@ DiffStats differential(const std::string &Label, const std::string &Source,
   for (bool Emit : {false, true}) {
     CertifierOptions Opts;
     Opts.Workers = 1;
-    Opts.PointsTo = PointsTo;
     Opts.EmitCertificates = Emit;
     Opts.CheckCertificates = Emit;
     const std::string Mode = Label + (Emit ? " [certificates]" : "");
     CertificationReport R = certifyWith(Source, EngineKind::SCMPIntra, Opts);
     EXPECT_FALSE(R.Degraded) << Mode << "\n" << R.str();
-    EXPECT_EQ(R.PointsTo.PrunedMethods, 0u) << Mode;
     EXPECT_EQ(R.Pre.SliceRuns, CFG.Methods.size()) << Mode;
     expectSameVerdicts(R.Checks, Ref, Mode);
     if (!Emit) {
@@ -128,14 +123,7 @@ DiffStats differential(const std::string &Label, const std::string &Source,
     }
   }
 
-  dataflow::PreAnalysisOptions PreOpts;
-  dataflow::PointsToResult PT;
-  if (PointsTo) {
-    PT = dataflow::analyzePointsTo(P, C.spec());
-    PreOpts.PointsTo = &PT;
-  }
-  dataflow::PreAnalysisResult PA =
-      dataflow::preAnalyze(CFG, C.abstraction(), PreOpts);
+  dataflow::PreAnalysisResult PA = dataflow::preAnalyze(CFG, C.abstraction());
   for (const dataflow::MethodPlan &Plan : PA.Plans) {
     DiagnosticEngine D;
     const cj::CFGMethod &M = *Plan.Source;
@@ -173,19 +161,14 @@ DiffStats differential(const std::string &Label, const std::string &Source,
   return St;
 }
 
-// Every suite client and every alias-suite client (with and without
-// points-to, which is what splits the alias clients) gets the
+// Every suite client and every alias-suite client gets the
 // unpartitioned program's verdicts and witnesses.
 TEST(PreAnalysisDifferentialTest, SCMPIntraVerdictsUnchangedOnSuite) {
   unsigned MultiSlice = 0;
   for (const bench::BenchClient &BC : bench::cmpSuite())
     MultiSlice += differential(BC.Name, BC.Source).MultiSliceMethods;
-  for (const bench::BenchClient &BC : bench::aliasSuite()) {
-    differential(BC.Name, BC.Source);
-    MultiSlice += differential(std::string(BC.Name) + " [points-to]",
-                               BC.Source, /*PointsTo=*/true)
-                      .MultiSliceMethods;
-  }
+  for (const bench::BenchClient &BC : bench::aliasSuite())
+    MultiSlice += differential(BC.Name, BC.Source).MultiSliceMethods;
   EXPECT_GE(MultiSlice, 3u);
 }
 
@@ -350,42 +333,6 @@ TEST(PreAnalysisDifferentialTest, CleanClientHasNoLints) {
     CertificationReport R = certifyWith(BC.Source, EngineKind::SCMPIntra);
     EXPECT_TRUE(R.Lints.empty()) << BC.Name;
     EXPECT_EQ(R.str().find("warning"), std::string::npos) << BC.Name;
-  }
-}
-
-// Under --points-to the report, "slicing:" lines included, is the same
-// storeless, with certificates emitted and checked, against a cold
-// store, and against a warm one.
-TEST(PointsToReportTest, IdenticalAcrossCertificateAndStoreModes) {
-  for (const bench::BenchClient &BC : bench::aliasSuite()) {
-    const std::string Store = ::testing::TempDir() + "/pt-report-" +
-                              std::to_string(::getpid()) + "-" + BC.Name;
-    std::filesystem::remove_all(Store);
-    CertifierOptions Plain;
-    Plain.PointsTo = true;
-    CertifierOptions Checked = Plain;
-    Checked.EmitCertificates = true;
-    Checked.CheckCertificates = true;
-    CertifierOptions Stored = Plain;
-    Stored.StorePath = Store;
-
-    const std::string Ref =
-        certifyWith(BC.Source, EngineKind::SCMPIntra, Plain).str();
-    EXPECT_NE(Ref.find("slice(s)"), std::string::npos) << BC.Name << "\n"
-                                                        << Ref;
-    EXPECT_EQ(certifyWith(BC.Source, EngineKind::SCMPIntra, Checked).str(),
-              Ref)
-        << BC.Name << " [certificates]";
-    CertificationReport Cold =
-        certifyWith(BC.Source, EngineKind::SCMPIntra, Stored);
-    EXPECT_EQ(Cold.str(), Ref) << BC.Name << " [cold store]";
-    CertificationReport Warm =
-        certifyWith(BC.Source, EngineKind::SCMPIntra, Stored);
-    EXPECT_EQ(Warm.str(), Ref) << BC.Name << " [warm store]";
-    EXPECT_GT(Warm.Store.Hits, 0u) << BC.Name;
-    EXPECT_EQ(Warm.Store.Misses, 0u) << BC.Name;
-    EXPECT_TRUE(Warm.Store.Incidents.empty()) << BC.Name;
-    std::filesystem::remove_all(Store);
   }
 }
 

@@ -6,8 +6,6 @@
 
 #include "dataflow/Slicing.h"
 
-#include "dataflow/PointsTo.h"
-
 #include "ClientHelper.h"
 
 #include <gtest/gtest.h>
@@ -25,12 +23,11 @@ struct SliceRun {
   SliceResult R;
 
   SliceRun(Client &C, const char *ClassName, const char *MethodName,
-           bool HasUninitUses = false, bool AbsReadsRetSources = false,
-           const MethodAliasInfo *Alias = nullptr)
+           bool HasUninitUses = false, bool AbsReadsRetSources = false)
       : M(C.method(ClassName, MethodName)) {
     for (const auto &NameAndType : M.CompVars)
       Vars.push_back(NameAndType.first);
-    R = computeSlices(M, Vars, HasUninitUses, AbsReadsRetSources, Alias);
+    R = computeSlices(M, Vars, HasUninitUses, AbsReadsRetSources);
   }
 
   /// Index of the slice containing \p V, or -1.
@@ -290,74 +287,6 @@ TEST(SlicingTest, UnassignedReturnSlotStaysApartFromParams) {
   EXPECT_NE(sliceIn(R, "$ret"), sliceIn(R, "s"));
   EXPECT_EQ(sliceIn(R, "s"), sliceIn(R, "t")); // Params still co-slice.
   EXPECT_EQ(R.Slices.size(), 2u);
-}
-
-//===----------------------------------------------------------------------===//
-// Alias-refined slicing: a whole-program MethodAliasInfo replaces the
-// heap/havoc gates and the syntactic merges.
-//===----------------------------------------------------------------------===//
-
-TEST(SlicingTest, AliasInfoLiftsTheHeapGate) {
-  Client C(HeapStoreClient);
-  PointsToResult PT = analyzePointsTo(C.Prog, C.Spec);
-  const MethodAliasInfo *A = PT.aliasFor("C::main");
-  ASSERT_NE(A, nullptr);
-
-  // Unrefined: the heap store forces one slice. Refined: the points-to
-  // groups prove the two pipelines independent.
-  SliceRun Plain(C, "C", "main");
-  ASSERT_EQ(Plain.R.Slices.size(), 1u);
-  ASSERT_NE(Plain.R.ForcedSingleReason, nullptr);
-
-  SliceRun Refined(C, "C", "main", false, false, A);
-  EXPECT_EQ(Refined.R.ForcedSingleReason, nullptr);
-  ASSERT_EQ(Refined.R.Slices.size(), 2u);
-  EXPECT_EQ(Refined.sliceOf("a"), Refined.sliceOf("i"));
-  EXPECT_EQ(Refined.sliceOf("b"), Refined.sliceOf("j"));
-  EXPECT_NE(Refined.sliceOf("a"), Refined.sliceOf("b"));
-}
-
-TEST(SlicingTest, AliasInfoKeepsHeapRelatedVariablesTogether) {
-  // One Stash shared by both Sets: the points-to groups must keep the
-  // pipelines merged even under refinement.
-  const char *Src = R"(
-    class Stash {
-      Set s;
-    }
-    class C {
-      void main() {
-        Stash u = new Stash();
-        Set a = new Set();
-        Set b = new Set();
-        u.s = a;
-        u.s = b;
-        Set x = u.s;
-        x.add();
-        Iterator i = a.iterator();
-        Iterator j = b.iterator();
-        i.next();
-        j.next();
-      }
-    }
-  )";
-  Client C(Src);
-  PointsToResult PT = analyzePointsTo(C.Prog, C.Spec);
-  const MethodAliasInfo *A = PT.aliasFor("C::main");
-  ASSERT_NE(A, nullptr);
-  SliceRun Refined(C, "C", "main", false, false, A);
-  EXPECT_EQ(Refined.R.Slices.size(), 1u);
-}
-
-TEST(SlicingTest, UninitGateSurvivesAliasRefinement) {
-  Client C(HeapStoreClient);
-  PointsToResult PT = analyzePointsTo(C.Prog, C.Spec);
-  const MethodAliasInfo *A = PT.aliasFor("C::main");
-  ASSERT_NE(A, nullptr);
-  SliceRun S(C, "C", "main", /*HasUninitUses=*/true, false, A);
-  ASSERT_EQ(S.R.Slices.size(), 1u);
-  ASSERT_NE(S.R.ForcedSingleReason, nullptr);
-  EXPECT_NE(std::string(S.R.ForcedSingleReason).find("uninitialized"),
-            std::string::npos);
 }
 
 TEST(SlicingTest, EmptyRetainedYieldsNoSlices) {

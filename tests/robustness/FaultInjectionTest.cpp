@@ -81,12 +81,11 @@ TEST_F(RobustnessFaultTest, ParsePlanForms) {
 
 TEST_F(RobustnessFaultTest, SiteListIsCanonical) {
   const std::vector<std::string> &Sites = faultSites();
-  ASSERT_EQ(Sites.size(), 12u);
+  ASSERT_EQ(Sites.size(), 11u);
   for (const char *S :
        {"dataflow.solve", "boolprog.intra", "boolprog.interproc",
         "ifds.solve", "tvla.fixpoint", "generic.allocsite", "cert-check",
-        "points-to", "store-open", "store-read", "store-commit",
-        "store-recover"})
+        "store-open", "store-read", "store-commit", "store-recover"})
     EXPECT_NE(std::find(Sites.begin(), Sites.end(), S), Sites.end()) << S;
 }
 
@@ -106,13 +105,10 @@ TEST_F(RobustnessFaultTest, EveryProbeSiteFiresAndDegrades) {
     setFaultPlan({Site, 1, FaultKind::Throw});
     // The cert-check probe sits inside cert::Checker::check(); it is
     // only reached when the run emits and re-validates certificates.
-    // The points-to probe requires the opt-in pre-analysis; the store
-    // probes require an active persistent store.
+    // The store probes require an active persistent store.
     CertifierOptions Opts;
     if (Site == "cert-check")
       Opts.EmitCertificates = Opts.CheckCertificates = true;
-    if (Site == "points-to")
-      Opts.PointsTo = true;
     if (Site.rfind("store-", 0) == 0) {
       // A store fault is absorbed as a structured StoreIO incident (the
       // run continues storeless or uncached) — the engine rung itself
@@ -135,18 +131,6 @@ TEST_F(RobustnessFaultTest, EveryProbeSiteFiresAndDegrades) {
       continue;
     }
     CertificationReport R = certifyWith(engineForSite(Site), Opts);
-    if (Site == "points-to") {
-      // The points-to pre-analysis is a refinement, not a rung: an
-      // injected fault there degrades precision (unrefined slicing
-      // gates, no report statistics), never the engine.
-      EXPECT_FALSE(R.Degraded) << Site << "\n" << R.str();
-      ASSERT_FALSE(R.Stages.empty()) << Site;
-      EXPECT_TRUE(R.Stages[0].Completed) << Site;
-      EXPECT_FALSE(R.PointsTo.Enabled) << Site;
-      EXPECT_GT(R.numChecks(), 0u) << Site << "\n" << R.str();
-      clearFaultPlan();
-      continue;
-    }
     EXPECT_TRUE(R.Degraded) << Site;
     ASSERT_FALSE(R.Stages.empty()) << Site;
     EXPECT_FALSE(R.Stages[0].Completed) << Site;
@@ -245,8 +229,8 @@ TEST_F(RobustnessFaultTest, EnvironmentPlanIsHonored) {
 // environment armed — no crash, no empty-handed report. The scenario
 // list is derived from the shared support::faultSites() registry (not
 // a hard-coded copy), so a new probe site automatically gets coverage
-// here: every site's enabling scenario (engine, opt-in pre-analysis,
-// certificate checking, persistent store) runs on every invocation,
+// here: every site's enabling scenario (engine, certificate checking,
+// persistent store) runs on every invocation,
 // and whichever one the environment targeted absorbs the fault. The
 // assertions also hold with no fault set, so the test is valid in the
 // plain suite run. Deliberately not a RobustnessFaultTest fixture
@@ -277,17 +261,6 @@ TEST(RobustnessEnvFaultTest, SurvivesAnyEnvironmentFault) {
       EXPECT_GT(R.numChecks(), 0u)
           << "certificate-checked run left the report empty-handed:\n"
           << R.str();
-    } else if (Site == "points-to") {
-      // Arms only inside the opt-in pre-analysis; a fault there
-      // degrades the refinement gracefully — the SCMPIntra rung itself
-      // completes unrefined.
-      CertifierOptions Opts;
-      Opts.PointsTo = true;
-      CertificationReport R = certifyWith(EngineKind::SCMPIntra, Opts);
-      EXPECT_GT(R.numChecks(), 0u)
-          << "points-to run left the report empty-handed:\n"
-          << R.str();
-      EXPECT_FALSE(R.Degraded) << R.str();
     } else if (Site.rfind("store-", 0) == 0) {
       // Arms only with an active persistent store: run cold then warm
       // so open/recover/read/commit are all reached. A store fault is

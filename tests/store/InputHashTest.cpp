@@ -101,13 +101,13 @@ TEST(InputHashTest, ContextSeparatesOtherwiseIdenticalPrograms) {
   for (const auto &[Method, Hash] : H1)
     EXPECT_NE(Hash, H2.at(Method)) << Method;
   EXPECT_NE(programInputHash(A.CFG, Ctx), programInputHash(A.CFG, Ctx + 1));
-  // Every context ingredient separates: spec hash, engine, options.
-  EXPECT_NE(contextFingerprint(1, "abs", "scmp-intra", "v1:..."),
-            contextFingerprint(2, "abs", "scmp-intra", "v1:..."));
-  EXPECT_NE(contextFingerprint(1, "abs", "scmp-intra", "v1:..."),
-            contextFingerprint(1, "abs", "scmp-interproc", "v1:..."));
-  EXPECT_NE(contextFingerprint(1, "abs", "scmp-intra", "v1:pt0"),
-            contextFingerprint(1, "abs", "scmp-intra", "v1:pt1"));
+  // Every context ingredient separates: spec hash, abstraction, engine.
+  EXPECT_NE(contextFingerprint(1, "abs", "scmp-intra"),
+            contextFingerprint(2, "abs", "scmp-intra"));
+  EXPECT_NE(contextFingerprint(1, "abs", "scmp-intra"),
+            contextFingerprint(1, "abs2", "scmp-intra"));
+  EXPECT_NE(contextFingerprint(1, "abs", "scmp-intra"),
+            contextFingerprint(1, "abs", "scmp-interproc"));
 }
 
 TEST(InputHashTest, LocalEditChangesOnlyTheEditedMethod) {

@@ -273,23 +273,6 @@ TEST_F(StoreIncrementalTest, InterproceduralUnitHitsAndInvalidates) {
   EXPECT_EQ(After.Store.Misses, 1u);
 }
 
-TEST_F(StoreIncrementalTest, PointsToCouplesEveryMethodToTheProgram) {
-  CertifierOptions PtOpts = Opts;
-  PtOpts.PointsTo = true;
-  CertificationReport Cold = run(TwoMethods, PtOpts);
-  ASSERT_GE(Cold.Store.Writes, 2u);
-
-  CertificationReport Warm = run(TwoMethods, PtOpts);
-  EXPECT_EQ(Warm.Store.Misses, 0u);
-  EXPECT_EQ(Warm.str(), Cold.str());
-
-  // Under the whole-program points-to refinement any edit can change
-  // any method's verdict, so a one-method edit re-keys everything.
-  CertificationReport After = run(TwoMethodsMainEdited, PtOpts);
-  EXPECT_EQ(After.Store.Hits, 0u);
-  EXPECT_EQ(After.Store.Misses, Cold.Store.Misses);
-}
-
 /// One certifier used for several certify() calls, as a shard worker
 /// uses it.
 struct SharedCertifier {

@@ -42,7 +42,7 @@ step "asan: tvla / boolprog / cert suites (arena + packed-word paths)"
 # ParallelEngine adds the certifier's per-unit fan-out, including units
 # answered from the certificate store.
 run_ctest --preset sanitize -j "$JOBS" \
-  -R 'Arena|StateVec|Structure|TVLA|Intraprocedural|Interprocedural|Witness|Cert|Checker|SlicePartition|BuildGolden|CorpusWitness|PreAnalysisDifferential|PointsToReport|ParallelEngine'
+  -R 'Arena|StateVec|Structure|TVLA|Intraprocedural|Interprocedural|Witness|Cert|Checker|SlicePartition|BuildGolden|CorpusWitness|PreAnalysisDifferential|ParallelEngine'
 
 step "perfbench package: build + helper tests"
 # perfbench/ is a CMake package of its own (it builds ../src with the
@@ -129,7 +129,7 @@ step "ubsan: certificate and engine suites"
 # cert suite plus every engine suite under UBSan alone (no ASan
 # interposition), so integer/shift/bounds UB surfaces directly.
 run_ctest --preset ubsan -j "$JOBS" \
-  -R 'Cert|Checker|Intraprocedural|Interprocedural|Ifds|Solver|TVLA|Structure|Baseline|Certifier|Store|CrashRecovery|InputHash|BuildGolden|CorpusWitness|PreAnalysisDifferential|PointsToReport'
+  -R 'Cert|Checker|Intraprocedural|Interprocedural|Ifds|Solver|TVLA|Structure|Baseline|Certifier|Store|CrashRecovery|InputHash|BuildGolden|CorpusWitness|PreAnalysisDifferential'
 
 step "store crash-recovery suite (sanitize)"
 # The persistent-store suite injects a crash (exception and torn short
@@ -235,7 +235,7 @@ else
 fi
 
 # The static analyzer gates the two trust-sensitive subsystems: the
-# Stage-0 dataflow layer (points-to, escape, slicing) and the
+# Stage-0 dataflow layer (definite assignment, slicing) and the
 # certificate layer (emitters + independent checker), where a latent
 # null-deref or uninitialized read could silently accept a bad
 # certificate.
