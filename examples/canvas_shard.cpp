@@ -30,7 +30,6 @@
 #include "shard/Driver.h"
 #include "shard/Worker.h"
 #include "support/Subprocess.h"
-#include "wp/Abstraction.h"
 
 #include <chrono>
 #include <cstdio>
@@ -141,14 +140,18 @@ int main(int argc, char **argv) {
     return 2;
   }
 
+  // Set-up is everything before the first task: corpus load (which
+  // sets each client's scheduling cost), the spec check and the driver
+  // options.
+  const auto SetupStart = std::chrono::steady_clock::now();
   std::vector<shard::CorpusClient> Corpus;
   if (!shard::loadCorpus(CorpusDir, Corpus, Error)) {
     std::fprintf(stderr, "canvas_shard: %s\n", Error.c_str());
     return 2;
   }
 
-  // Cost-estimate against the same spec the workers will certify with,
-  // so the scheduler's bins track the real fixpoint state space.
+  // Parse and check the spec once here, so a bad spec is a usage error
+  // (exit 2) rather than a failure in every worker.
   {
     std::string SpecSource;
     if (!shard::resolveSpec(WO.SpecArg, SpecSource, Error)) {
@@ -163,8 +166,6 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "canvas_shard: bad spec:\n%s", Diags.str().c_str());
       return 2;
     }
-    wp::DerivedAbstraction Abs = wp::deriveAbstraction(S, Diags);
-    shard::estimateCosts(Corpus, S, Abs);
   }
 
   shard::DriverOptions DO;
@@ -179,14 +180,17 @@ int main(int argc, char **argv) {
 
   std::ostringstream Merged;
   shard::ShardRunStats Stats;
+  auto MicrosSince = [](std::chrono::steady_clock::time_point T) {
+    return static_cast<uint64_t>(std::chrono::duration<double, std::micro>(
+                                     std::chrono::steady_clock::now() - T)
+                                     .count());
+  };
+  const uint64_t SetupMicros = MicrosSince(SetupStart);
   const auto T0 = std::chrono::steady_clock::now();
   const bool Ok =
       Serial ? shard::runSerial(Corpus, DO, Merged, std::cout, Stats, Error)
              : shard::runSharded(Corpus, DO, Merged, std::cout, Stats, Error);
-  const uint64_t WallMicros = static_cast<uint64_t>(
-      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() -
-                                                T0)
-          .count());
+  const uint64_t WallMicros = MicrosSince(T0);
   if (!Ok) {
     std::fprintf(stderr, "canvas_shard: %s\n", Error.c_str());
     return 3;
@@ -207,11 +211,13 @@ int main(int argc, char **argv) {
   const std::string Label = BenchLabel.empty() ? CorpusDir : BenchLabel;
   std::printf("BENCH_JSON {\"bench\":\"shard-scaling\",\"corpus\":\"%s\","
               "\"shards\":%u,\"clients\":%u,\"micros\":%llu,"
+              "\"setup_micros\":%llu,"
               "\"worker_micros\":%llu,\"flagged\":%u,\"parse_failed\":%u,"
               "\"degraded\":%u,\"requeues\":%u,\"crashed\":%u,"
               "\"respawns\":%u}\n",
               Label.c_str(), Serial ? 0 : Shards, Stats.Clients,
               static_cast<unsigned long long>(WallMicros),
+              static_cast<unsigned long long>(SetupMicros),
               static_cast<unsigned long long>(Stats.WorkerMicros),
               Stats.Flagged, Stats.ParseFailed, Stats.DegradedClients,
               Stats.Requeues, Stats.CrashedClients, Stats.WorkerRespawns);

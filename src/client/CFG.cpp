@@ -489,7 +489,6 @@ ClientCFG cj::buildCFG(const Program &P, const easl::Spec &Spec,
                        DiagnosticEngine &Diags) {
   ClientCFG CFG;
   CFG.Prog = &P;
-  CFG.Spec = &Spec;
   for (const CClass &C : P.Classes)
     for (const CMethod &M : C.Methods)
       CFG.Methods.push_back(MethodLowering(P, Spec, C, M, Diags).run());

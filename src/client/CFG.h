@@ -94,7 +94,6 @@ struct CFGMethod {
 /// All client-method CFGs of a program against one component spec.
 struct ClientCFG {
   const Program *Prog = nullptr;
-  const easl::Spec *Spec = nullptr;
   std::vector<CFGMethod> Methods;
 
   const CFGMethod *findMethod(const std::string &ClassName,

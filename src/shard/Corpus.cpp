@@ -1,16 +1,10 @@
 #include "shard/Corpus.h"
 
-#include "client/CFG.h"
-#include "client/Parser.h"
-#include "easl/Parser.h"
-#include "wp/Abstraction.h"
-
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -72,6 +66,7 @@ bool shard::loadCorpus(const std::string &Dir, std::vector<CorpusClient> &Out,
       Error = "cannot read corpus client '" + C.Path + "'";
       return false;
     }
+    C.Cost = C.Source.size();
     Out.push_back(std::move(C));
   }
   if (Out.empty()) {
@@ -81,43 +76,10 @@ bool shard::loadCorpus(const std::string &Dir, std::vector<CorpusClient> &Out,
   return true;
 }
 
-uint64_t shard::estimateCost(const std::string &Source, const easl::Spec &Spec,
-                             const wp::DerivedAbstraction &Abs) {
-  DiagnosticEngine Quiet;
-  cj::Program P = cj::parseProgram(Source, Quiet);
-  if (Quiet.hasErrors())
-    return 1;
-  cj::ClientCFG CFG = cj::buildCFG(P, Spec, Quiet);
-  if (Quiet.hasErrors())
-    return 1;
-  uint64_t Total = 0;
-  for (const cj::CFGMethod &M : CFG.Methods) {
-    // Predicate instantiations over the method's component variables:
-    // for each family, the number of typed slot assignments — the
-    // boolean-variable count the boolean-program build would produce.
-    std::map<std::string, uint64_t> VarsByType;
-    for (const auto &NameAndType : M.CompVars)
-      ++VarsByType[NameAndType.second];
-    uint64_t B = 0;
-    for (const wp::PredicateFamily &Fam : Abs.Families) {
-      uint64_t Assignments = 1;
-      for (const std::string &SlotType : Fam.VarTypes) {
-        auto It = VarsByType.find(SlotType);
-        Assignments *= It == VarsByType.end() ? 0 : It->second;
-      }
-      B += Assignments;
-    }
-    const uint64_t Edges = std::max<uint64_t>(1, M.Edges.size());
-    Total += Edges * (1 + B) * (1 + B);
-  }
-  return std::max<uint64_t>(1, Total);
-}
-
 void shard::estimateCosts(std::vector<CorpusClient> &Corpus,
-                          const easl::Spec &Spec,
-                          const wp::DerivedAbstraction &Abs) {
+                          const easl::Spec &, const wp::DerivedAbstraction &) {
   for (CorpusClient &C : Corpus)
-    C.Cost = estimateCost(C.Source, Spec, Abs);
+    C.Cost = C.Source.size();
 }
 
 namespace {

@@ -104,9 +104,10 @@ bool shard::runSharded(const std::vector<CorpusClient> &Corpus,
   // writeFrame (which requeues the task), not kill the driver.
   ::signal(SIGPIPE, SIG_IGN);
 
-  // The scheduler queue: largest estimated cost first, corpus index as
-  // the stable tie-break. Pull-based: each idle worker takes the front,
-  // so big clients start early and the tail is one client long.
+  // The scheduler queue: largest cost (source length) first, corpus
+  // index as the stable tie-break. Pull-based: each idle worker takes
+  // the front, so big clients start early and the tail is one client
+  // long.
   std::deque<Attempt> Queue;
   {
     std::vector<uint32_t> Order(Corpus.size());

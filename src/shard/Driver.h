@@ -7,11 +7,11 @@
 /// byte-identical to the serial run at ANY shard count.
 ///
 /// Scheduling is dynamic largest-first (work stealing by pull): tasks
-/// sit in one queue ordered by descending cost estimate, every idle
-/// worker pulls the next task the moment it finishes its previous one,
-/// so the expensive stragglers start first and no worker idles while
-/// work remains — the tail is bounded by the single largest client, not
-/// by a static partition's worst bin.
+/// sit in one queue ordered by descending cost (the client's source
+/// length), every idle worker pulls the next task the moment it
+/// finishes its previous one, so the expensive stragglers start first
+/// and no worker idles while work remains — the tail is bounded by the
+/// single largest client, not by a static partition's worst bin.
 ///
 /// Determinism argument: a worker's Result carries the exact report
 /// text a serial run would print for that client (the worker and the

@@ -17,13 +17,17 @@ bool support::spawnProcess(const std::vector<std::string> &Argv,
     Error = "empty argv";
     return false;
   }
+  // Close-on-exec, so no later child inherits this child's pipe ends
+  // (a worker would otherwise see stdin EOF only once every sibling
+  // spawned after it has exited). The dup2 onto the child's stdin and
+  // stdout clears the flag on the two ends it keeps.
   int ToChild[2] = {-1, -1};  // driver writes [1] -> child stdin [0]
   int FromChild[2] = {-1, -1}; // child stdout [1] -> driver reads [0]
-  if (::pipe(ToChild) != 0) {
+  if (::pipe2(ToChild, O_CLOEXEC) != 0) {
     Error = std::string("pipe: ") + strerror(errno);
     return false;
   }
-  if (::pipe(FromChild) != 0) {
+  if (::pipe2(FromChild, O_CLOEXEC) != 0) {
     Error = std::string("pipe: ") + strerror(errno);
     ::close(ToChild[0]);
     ::close(ToChild[1]);

@@ -36,8 +36,9 @@ struct ChildProcess {
 /// Forks and execs \p Argv (Argv[0] is the executable path; PATH is not
 /// searched). \p ExtraEnv entries ("KEY=VALUE") are applied on top of
 /// the inherited environment. Returns false with \p Error set on
-/// failure; on success the caller owns Out's fds and must reap the pid
-/// with waitProcess().
+/// failure; on success the caller owns Out's fds, which are
+/// close-on-exec so later children do not inherit them, and must reap
+/// the pid with waitProcess().
 bool spawnProcess(const std::vector<std::string> &Argv,
                   const std::vector<std::string> &ExtraEnv, ChildProcess &Out,
                   std::string &Error);

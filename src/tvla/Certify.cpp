@@ -22,12 +22,10 @@ namespace {
 /// the certificate checker must not depend on.
 class TVLAEngine {
 public:
-  TVLAEngine(const easl::Spec &Spec, const DerivedAbstraction &Abs,
-             const cj::CFGMethod &M, const TVLAOptions &Opts,
-             DiagnosticEngine &Diags)
-      : Spec(Spec), M(M), Opts(Opts), T(Abs, M, Diags), Acc(T.makeAccum()),
+  TVLAEngine(const DerivedAbstraction &Abs, const cj::CFGMethod &M,
+             const TVLAOptions &Opts, DiagnosticEngine &Diags)
+      : M(M), Opts(Opts), T(Abs, M, Diags), Acc(T.makeAccum()),
         Scratch(Opts.Cancel) {
-    (void)this->Spec;
     // Per-visit temporaries (edge images, snapshots, blur rebuilds) bump
     // out of the engine-owned arena; everything that survives a visit is
     // detached to the heap by interning / copy-assignment.
@@ -271,7 +269,6 @@ private:
     return std::move(Result);
   }
 
-  const easl::Spec &Spec;
   const cj::CFGMethod &M;
   TVLAOptions Opts;
   Transfer T;
@@ -293,10 +290,10 @@ TVLAResult tvla::certifyWithTVLA(const easl::Spec &Spec,
   return certifyWithTVLA(Spec, Abs, M, Opts, Diags);
 }
 
-TVLAResult tvla::certifyWithTVLA(const easl::Spec &Spec,
+TVLAResult tvla::certifyWithTVLA(const easl::Spec &,
                                  const DerivedAbstraction &Abs,
                                  const cj::CFGMethod &M,
                                  const TVLAOptions &Opts,
                                  DiagnosticEngine &Diags) {
-  return TVLAEngine(Spec, Abs, M, Opts, Diags).run();
+  return TVLAEngine(Abs, M, Opts, Diags).run();
 }

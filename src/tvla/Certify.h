@@ -76,7 +76,8 @@ struct TVLAOptions {
   PointAnnotation *AnnotationOut = nullptr;
 };
 
-/// Certifies one client method.
+/// Certifies one client method. \p Spec is not read: the transfer
+/// needs only the abstraction derived from it.
 TVLAResult certifyWithTVLA(const easl::Spec &Spec,
                            const wp::DerivedAbstraction &Abs,
                            const cj::CFGMethod &M, bool Relational,

@@ -39,13 +39,6 @@ protected:
     ASSERT_TRUE(generateCorpus(Dir + "/corpus", 12, 5, Error)) << Error;
     ASSERT_TRUE(loadCorpus(Dir + "/corpus", Corpus, Error)) << Error;
 
-    DiagnosticEngine Diags;
-    easl::Spec S = easl::parseSpec(easl::cmpSpecSource(), Diags);
-    ASSERT_TRUE(easl::checkSpec(S, Diags)) << Diags.str();
-    wp::DerivedAbstraction Abs = wp::deriveAbstraction(S, Diags);
-    ASSERT_FALSE(Diags.hasErrors()) << Diags.str();
-    estimateCosts(Corpus, S, Abs);
-
     Opts.WorkerExe = support::selfExecutablePath();
     ASSERT_FALSE(Opts.WorkerExe.empty());
     Opts.Stream = true;
@@ -66,6 +59,52 @@ TEST_F(ShardDeterminismTest, CostEstimatesSpreadTheCorpus) {
   // The generator spans sizes; identical costs across the board would
   // make the largest-first schedule meaningless.
   EXPECT_GT(Distinct.size(), 3u);
+}
+
+TEST_F(ShardDeterminismTest, CostIsTheSourceLengthEvenWhenTheClientIsBroken) {
+  for (const CorpusClient &C : Corpus)
+    EXPECT_EQ(C.Cost, C.Source.size()) << C.Name;
+  // estimateCosts never parses, so a client that does not parse is
+  // ordered by its length like any other.
+  DiagnosticEngine Diags;
+  easl::Spec S = easl::parseSpec(easl::cmpSpecSource(), Diags);
+  ASSERT_TRUE(easl::checkSpec(S, Diags)) << Diags.str();
+  wp::DerivedAbstraction Abs = wp::deriveAbstraction(S, Diags);
+  ASSERT_FALSE(Diags.hasErrors()) << Diags.str();
+  std::vector<CorpusClient> Broken = {
+      {"broken", "broken.cj", "class Broken { void main() { Set s = ", 1}};
+  estimateCosts(Broken, S, Abs);
+  EXPECT_EQ(Broken[0].Cost, Broken[0].Source.size());
+}
+
+TEST_F(ShardDeterminismTest, OneShardCertifiesLargestSourceFirst) {
+  DriverOptions O = Opts;
+  O.Shards = 1;
+  std::ostringstream Merged, Stream;
+  ShardRunStats Stats;
+  std::string Error;
+  ASSERT_TRUE(runSharded(Corpus, O, Merged, Stream, Stats, Error)) << Error;
+  // With one worker the summary rows stream in queue order.
+  std::vector<size_t> Order;
+  std::istringstream In(Stream.str());
+  for (std::string Line; std::getline(In, Line);) {
+    if (Line.find("\"micros\":") == std::string::npos)
+      continue;
+    const std::string Key = "{\"client\":\"";
+    const size_t From = Line.find(Key) + Key.size();
+    const std::string Name = Line.substr(From, Line.find('"', From) - From);
+    for (size_t I = 0; I != Corpus.size(); ++I)
+      if (Corpus[I].Name == Name)
+        Order.push_back(I);
+  }
+  ASSERT_EQ(Order.size(), Corpus.size());
+  for (size_t K = 1; K != Order.size(); ++K) {
+    const size_t Prev = Corpus[Order[K - 1]].Source.size();
+    const size_t Cur = Corpus[Order[K]].Source.size();
+    EXPECT_TRUE(Prev > Cur || (Prev == Cur && Order[K - 1] < Order[K]))
+        << Corpus[Order[K - 1]].Name << " (" << Prev << " bytes) before "
+        << Corpus[Order[K]].Name << " (" << Cur << " bytes)";
+  }
 }
 
 TEST_F(ShardDeterminismTest, CorpusGenerationIsDeterministicInTheSeed) {

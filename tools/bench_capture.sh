@@ -80,8 +80,9 @@ EOF
 # sharded runs at 1/2/4/8 workers. Then the store at 4 workers: one
 # shard-store-speed line per mode (storeless, cold on a store emptied
 # before each rep, warm on a store filled once), each the min and median
-# wall clock of 7 reps with the last rep's store counters, nproc and the
-# build type.
+# wall clock of 7 reps and of their set-up (canvas_shard's setup_micros:
+# corpus load and spec check, before the first task), with the last
+# rep's store counters, nproc and the build type.
 capture_shard() {
   local dir
   dir="$(mktemp -d)"
@@ -117,6 +118,7 @@ def run(store=None):
 
 run("warm")  # Fills the warm store.
 micros = {"storeless": [], "cold": [], "warm": []}
+setup = {mode: [] for mode in micros}
 last = {}
 for _ in range(REPS):
     for mode in micros:
@@ -124,11 +126,14 @@ for _ in range(REPS):
             shutil.rmtree(work + "/cold", ignore_errors=True)
         last[mode] = run(None if mode == "storeless" else mode)
         micros[mode].append(last[mode]["shard-scaling"]["micros"])
+        setup[mode].append(last[mode]["shard-scaling"]["setup_micros"])
 for mode, us in micros.items():
     row = {"bench": "shard-store-speed", "mode": mode, "clients": 200,
            "shards": 4, "reps": REPS, "min_us": min(us),
-           "median_us": statistics.median(us), "nproc": int(nproc),
-           "build_type": build_type}
+           "median_us": statistics.median(us),
+           "setup_min_us": min(setup[mode]),
+           "setup_median_us": statistics.median(setup[mode]),
+           "nproc": int(nproc), "build_type": build_type}
     store = last[mode].get("shard-store")
     if store:
         for key in ("hits", "misses", "writes", "rejected", "quarantined"):
