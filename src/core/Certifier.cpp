@@ -9,7 +9,6 @@
 #include "core/Replay.h"
 #include "dataflow/PreAnalysis.h"
 #include "store/InputHash.h"
-#include "support/TaskPool.h"
 #include "tvla/Certify.h"
 
 #include <algorithm>
@@ -160,13 +159,6 @@ struct UnitRun {
   std::optional<cert::Certificate> Cert;
   /// Answered by a gated store entry: the engine did not run.
   bool FromStore = false;
-  /// Private to the unit: the shared engine is not thread-safe.
-  DiagnosticEngine Diags;
-  /// The engine's counters for this unit, summed over the rung.
-  bool Analyzed = false; ///< SCMPIntra built and solved its program.
-  size_t BoolVars = 0;
-  TVLAStats Tvla;
-  double EmitMicros = 0;
 };
 
 /// Checker-gated store entries by unit name.
@@ -443,55 +435,20 @@ void enumerateObligations(const wp::DerivedAbstraction &Abs,
   }
 }
 
-/// The one fan-out of every rung: runs \p Analyze on \p Pool for each
-/// of \p Run's units without an entry in \p Hits (a hit reproduces the
-/// stored verdicts and certificate instead), then merges the units'
-/// diagnostics and counters in unit order, so the report and the
-/// diagnostic stream are identical for every worker count. A rung that
-/// throws merges nothing — no partial verdicts and no partial
-/// diagnostics. \p Hits is only read concurrently.
-void runUnits(EngineRun &Run, const StoreHits &Hits,
-              const std::function<void(size_t, UnitRun &)> &Analyze,
-              support::TaskPool &Pool, DiagnosticEngine &Diags) {
-  std::vector<std::function<void()>> Tasks;
-  Tasks.reserve(Run.Units.size());
-  for (size_t I = 0; I != Run.Units.size(); ++I)
-    Tasks.push_back([&, I] {
-      UnitRun &U = Run.Units[I];
-      auto Hit = Hits.find(U.Name);
-      if (Hit == Hits.end())
-        return Analyze(I, U);
-      U.Checks = Hit->second.Checks;
-      U.Cert = Hit->second.Cert;
-      U.FromStore = true;
-    });
-  Pool.runAll(Tasks);
-  for (const UnitRun &U : Run.Units) {
-    Diags.mergeFrom(U.Diags);
-    Run.Pre.SliceRuns += U.Analyzed;
-    Run.BoolVars += U.BoolVars;
-    Run.MaxBoolVars = std::max(Run.MaxBoolVars, U.BoolVars);
-    Run.Tvla.InternedStructures += U.Tvla.InternedStructures;
-    Run.Tvla.TransferCacheHits += U.Tvla.TransferCacheHits;
-    Run.Tvla.TransferCacheMisses += U.Tvla.TransferCacheMisses;
-    Run.Tvla.MaxStructuresPerPoint =
-        std::max(Run.Tvla.MaxStructuresPerPoint, U.Tvla.MaxStructuresPerPoint);
-    Run.EmitMicros += U.EmitMicros;
-  }
-}
-
 /// Runs one ladder rung to completion under \p Tok's budget; throws
 /// CertifyError on exhaustion, injected faults, or checked invariants.
 /// Each engine supplies the analysis of one unit — a client method, or
-/// for SCMPInterproc the whole program — and runUnits fans the units
-/// out. \p Hits holds the checker-gated store entries that answer units
-/// instead of the engine.
+/// for SCMPInterproc the whole program — and the units run in unit
+/// order, writing their verdicts, certificates and counters straight
+/// into \p Run. \p Hits holds the checker-gated store entries that
+/// answer units instead of the engine. The units' diagnostics reach
+/// \p Diags only once every unit has run: a rung that throws leaves no
+/// partial verdicts and no partial diagnostics behind.
 void runEngine(EngineKind K, const easl::Spec &S,
                const wp::DerivedAbstraction &Abs,
                const CertifierOptions &Opts, const cj::ClientCFG &CFG,
                const StoreHits &Hits, DiagnosticEngine &Diags,
-               support::CancelToken &Tok, support::TaskPool &Pool,
-               EngineRun &Run) {
+               support::CancelToken &Tok, EngineRun &Run) {
   // Stage 0 runs for every engine: the lint, plus the slice partition
   // SCMPIntra builds its boolean programs over.
   dataflow::PreAnalysisOptions PreOpts;
@@ -505,6 +462,7 @@ void runEngine(EngineKind K, const easl::Spec &S,
     for (size_t MI = 0; MI != CFG.Methods.size(); ++MI)
       Run.Units[MI].Name = CFG.Methods[MI].name();
 
+  DiagnosticEngine RungDiags;
   std::function<void(size_t, UnitRun &)> Analyze;
   switch (K) {
   case EngineKind::SCMPIntra: {
@@ -522,13 +480,14 @@ void runEngine(EngineKind K, const easl::Spec &S,
       // checks, verdicts and witnesses are the unpartitioned program's.
       const bool Split = Plan.multiSlice();
       const bp::BooleanProgram BP =
-          Split ? bp::buildBooleanProgram(Abs, M, Out.Diags, Plan.Slices)
-                : bp::buildBooleanProgram(Abs, M, Out.Diags);
+          Split ? bp::buildBooleanProgram(Abs, M, RungDiags, Plan.Slices)
+                : bp::buildBooleanProgram(Abs, M, RungDiags);
       const bp::IntraResult R = bp::analyzeIntraproc(BP, &Tok);
-      Out.Analyzed = true;
-      Out.BoolVars = BP.Vars.size();
+      ++Run.Pre.SliceRuns;
+      Run.BoolVars += BP.Vars.size();
+      Run.MaxBoolVars = std::max(Run.MaxBoolVars, BP.Vars.size());
       if (Opts.EmitCertificates)
-        Out.Cert = timed(Out.EmitMicros, [&] {
+        Out.Cert = timed(Run.EmitMicros, [&] {
           return Split ? cert::emitSlicePartition(Plan.Slices, BP, R,
                                                   Plan.MayUninit)
                        : cert::emitBoolIntra(BP, R);
@@ -555,13 +514,13 @@ void runEngine(EngineKind K, const easl::Spec &S,
     // are the rung's. The supervisor skips this rung when main() is
     // absent.
     Analyze = [&](size_t, UnitRun &Out) {
-      bp::InterprocModel Model(Abs, CFG, *CFG.mainCFG(), Out.Diags);
+      bp::InterprocModel Model(Abs, CFG, *CFG.mainCFG(), RungDiags);
       bp::IfdsTabulation Tab;
       bp::InterResult R = bp::analyzeInterproc(
           Model, &Tok, Opts.EmitCertificates ? &Tab : nullptr);
       if (Opts.EmitCertificates)
         Out.Cert =
-            timed(Out.EmitMicros, [&] { return cert::emitIfds(Model, Tab); });
+            timed(Run.EmitMicros, [&] { return cert::emitIfds(Model, Tab); });
       Run.Inter = {R.SummaryIterations, R.ExplodedNodes, R.PathEdges,
                    R.Summaries, R.WitnessMicros};
       Out.Checks = std::move(R.Checks);
@@ -574,7 +533,7 @@ void runEngine(EngineKind K, const easl::Spec &S,
       BaselineResult R = analyzeAllocSite(
           S, M, &Tok, Opts.EmitCertificates ? &Ann : nullptr);
       if (Opts.EmitCertificates)
-        Out.Cert = timed(Out.EmitMicros,
+        Out.Cert = timed(Run.EmitMicros,
                          [&] { return cert::emitAllocSite(M, Ann, R); });
       for (const auto &[Site, Flagged] : R.Flagged) {
         CheckRecord Rec;
@@ -598,13 +557,16 @@ void runEngine(EngineKind K, const easl::Spec &S,
       tvla::PointAnnotation Ann;
       if (Opts.EmitCertificates)
         TO.AnnotationOut = &Ann;
-      tvla::TVLAResult R = tvla::certifyWithTVLA(S, Abs, M, TO, Out.Diags);
+      tvla::TVLAResult R = tvla::certifyWithTVLA(S, Abs, M, TO, RungDiags);
       if (Opts.EmitCertificates)
-        Out.Cert = timed(Out.EmitMicros, [&] {
+        Out.Cert = timed(Run.EmitMicros, [&] {
           return cert::emitTvla(Abs, M, Ann, R, TO.Relational);
         });
-      Out.Tvla = {R.InternedStructures, R.TransferCacheHits,
-                  R.TransferCacheMisses, R.MaxStructuresPerPoint};
+      Run.Tvla.InternedStructures += R.InternedStructures;
+      Run.Tvla.TransferCacheHits += R.TransferCacheHits;
+      Run.Tvla.TransferCacheMisses += R.TransferCacheMisses;
+      Run.Tvla.MaxStructuresPerPoint =
+          std::max(Run.Tvla.MaxStructuresPerPoint, R.MaxStructuresPerPoint);
       for (const auto &C : R.Checks) {
         CheckRecord Rec;
         Rec.Method = Out.Name;
@@ -616,7 +578,18 @@ void runEngine(EngineKind K, const easl::Spec &S,
     };
     break;
   }
-  runUnits(Run, Hits, Analyze, Pool, Diags);
+  for (size_t I = 0; I != Run.Units.size(); ++I) {
+    UnitRun &U = Run.Units[I];
+    auto Hit = Hits.find(U.Name);
+    if (Hit == Hits.end()) {
+      Analyze(I, U);
+      continue;
+    }
+    U.Checks = Hit->second.Checks;
+    U.Cert = Hit->second.Cert;
+    U.FromStore = true;
+  }
+  Diags.mergeFrom(RungDiags);
 }
 
 /// The store lookup stage of certify(), run before the ladder: opens
@@ -736,7 +709,6 @@ CertificationReport Certifier::certify(const cj::Program &P,
                    : std::vector<EngineKind>{Engine};
 
   static const StoreHits NoHits;
-  support::TaskPool Pool(Opts.Workers);
   std::string FirstFailure;
   for (EngineKind K : Rungs) {
     if (K == EngineKind::SCMPInterproc && !CFG.mainCFG()) {
@@ -763,7 +735,7 @@ CertificationReport Certifier::certify(const cj::Program &P,
     try {
       EngineRun Run;
       runEngine(K, S, Abs, EOpts, CFG, K == Engine ? Store.Hits : NoHits,
-                Diags, Tok, Pool, Run);
+                Diags, Tok, Run);
 
       // With CheckCertificates, re-validate before accepting the rung: a
       // rejected certificate means the rung's Proven verdicts are not

@@ -201,11 +201,10 @@ struct CertifierOptions {
   support::StageBudget Budget;
   /// Per-engine overrides of Budget.
   std::map<EngineKind, support::StageBudget> EngineBudgets;
-  /// Worker bound for the certification fan-out: a rung's units (each
-  /// client method, or the whole program for SCMPInterproc) run
-  /// concurrently on a support::TaskPool. 0 means hardware_concurrency().
-  /// Reports are merged in unit order, so the report and diagnostic
-  /// stream are byte-identical for every worker count.
+  /// Unread. certify() runs a rung's units (each client method, or the
+  /// whole program for SCMPInterproc) one after another on the calling
+  /// thread; parallelism across clients is the shard driver's worker
+  /// processes. Kept only because perfbench still assigns it.
   unsigned Workers = 0;
   /// Emit a proof-carrying certificate per analyzed unit, carrying the
   /// engine's fixpoint evidence for every Safe/Unreachable verdict
@@ -232,9 +231,10 @@ struct CertifierOptions {
   /// I/O failure degrades to re-analysis — never to a wrong or missing
   /// verdict. The store serves and fills only the *requested* engine's
   /// rung; degraded fallback runs are never persisted. The certifier
-  /// opens the store at its first certify() and keeps it open, shared
-  /// with its copies; each call first indexes what other processes
-  /// appended and reopens the store if its log was removed or replaced.
+  /// opens the store at its first certify() and keeps it open for every
+  /// later call, from any thread; each call first indexes what other
+  /// processes appended and reopens the store if its log was removed or
+  /// replaced.
   std::string StorePath;
   /// ReadOnly serves checker-gated hits without any disk mutation
   /// (useful for replicas serving from a shared snapshot).
@@ -243,8 +243,9 @@ struct CertifierOptions {
 
 namespace detail {
 /// The certifier's persistent store, opened at the first certify() that
-/// has a StorePath and shared, mutex-guarded, by the certifier's copies
-/// (defined in Certifier.cpp). A failed open is not memoized.
+/// has a StorePath and shared, mutex-guarded, by every certify() call on
+/// the certifier, whichever thread makes it (defined in Certifier.cpp).
+/// A failed open is not memoized.
 struct StoreCache;
 } // namespace detail
 
@@ -282,7 +283,7 @@ private:
   /// context fingerprint (easl::Spec has no canonical rendering).
   uint64_t SpecHash = 0;
   /// Mutex-guarded; shared_ptr so the incomplete type needs no
-  /// out-of-line destructor and copies of the certifier share the store.
+  /// out-of-line destructor.
   std::shared_ptr<detail::StoreCache> SCache;
 };
 

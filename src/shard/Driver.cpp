@@ -307,7 +307,6 @@ bool shard::runSerial(const std::vector<CorpusClient> &Corpus,
   COpts.StorePath = Opts.Worker.StorePath;
   COpts.StoreMode = Opts.Worker.StoreMode;
   COpts.Budget = Opts.Worker.Budget;
-  COpts.Workers = 1;
   DiagnosticEngine Diags;
   core::Certifier C(SpecSource, Opts.Worker.Engine, Diags, {}, COpts);
   if (Diags.hasErrors()) {

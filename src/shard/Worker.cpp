@@ -206,9 +206,6 @@ int shard::workerMain(const WorkerOptions &O) {
   Opts.StorePath = O.StorePath;
   Opts.StoreMode = O.StoreMode;
   Opts.Budget = O.Budget;
-  // Processes are the unit of parallelism here; a thread fan-out inside
-  // each worker would oversubscribe the host once N shards run.
-  Opts.Workers = 1;
   DiagnosticEngine Diags;
   core::Certifier C(SpecSource, O.Engine, Diags, {}, Opts);
   if (Diags.hasErrors()) {

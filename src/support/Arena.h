@@ -16,13 +16,13 @@
 ///    out to the heap before reset() — tvla::Structure's copy
 ///    constructor always detaches to the heap for exactly this reason.
 ///  - One arena belongs to one engine instance and is not thread-safe;
-///    the certification fan-out gives each worker task its own engine
-///    (and thus its own arena), never sharing one across threads.
+///    an engine instance runs one unit of one certify() call, on the
+///    thread that called it.
 ///
 /// Budget integration: each *new block* (not each bump) is charged to
 /// the optional CancelToken via addAllocation(), so allocation-budget
-/// ceilings still bound arena growth while the hot path stays
-/// atomic-free.
+/// ceilings still bound arena growth while a bump makes no budget
+/// call.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -20,11 +20,12 @@ const std::vector<std::string> &support::faultSites() {
 namespace {
 
 struct FaultState {
-  /// Probe sites run on every certifier worker thread concurrently, so
-  /// the whole state (lazy environment consult, probe counter,
-  /// fired-once latch) is serialized under one mutex. Probes are cheap
-  /// and rare relative to transfer work; the lock is not on any inner
-  /// loop.
+  /// One state serves the whole process, and certify() calls may run on
+  /// several threads at once (perfbench's ground-truth pass runs one
+  /// set of certifiers per processor), so the whole state (lazy
+  /// environment consult, probe counter, fired-once latch) is
+  /// serialized under one mutex. Probes are cheap and rare relative to
+  /// transfer work; the lock is not on any inner loop.
   std::mutex M;
   bool EnvConsulted = false;
   std::optional<FaultPlan> Plan;

@@ -25,7 +25,7 @@
 
 #include "support/CertifyError.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -65,15 +65,11 @@ struct ResourceSpend {
 /// with the corresponding budget kind. A default-constructed token is
 /// unlimited and doubles as a pure accounting device.
 ///
-/// Thread-safety contract: one token is shared by every task of a
-/// parallel certification fan-out (core::Certifier runs independent
-/// per-method analyses concurrently), so the spend counters are atomic
-/// and tick()/noteStructures()/addAllocation() are safe to call from
-/// any number of engine threads concurrently. Ceiling checks are
-/// performed against the atomically-updated totals; when a ceiling is
-/// crossed, at least one racing caller throws (several may — each
-/// worker's CertifyError reports the same exhausted budget). The token
-/// is deliberately non-copyable: engines hold it by pointer.
+/// core::Certifier makes one token per ladder rung and runs the rung's
+/// units one after another on the thread that called certify(), so the
+/// counters are plain and the token is not thread-safe. It is
+/// deliberately non-copyable: engines hold it by pointer, and a copy
+/// would split the rung's spend.
 class CancelToken {
 public:
   CancelToken() : Start(std::chrono::steady_clock::now()) {}
@@ -87,8 +83,8 @@ public:
   /// One fixpoint iteration: bumps the counter and checks the iteration
   /// and deadline ceilings.
   void tick() {
-    uint64_t I = Iterations.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (B.MaxIterations && I > B.MaxIterations)
+    ++Iterations;
+    if (B.MaxIterations && Iterations > B.MaxIterations)
       throw CertifyError(CertifyErrorKind::BudgetIterations,
                          "fixpoint exceeded " +
                              std::to_string(B.MaxIterations) + " iterations",
@@ -103,11 +99,7 @@ public:
   /// Reports the engine's current resident structure/state count;
   /// tracks the peak and enforces the ceiling.
   void noteStructures(uint64_t Current) {
-    uint64_t Prev = PeakStructures.load(std::memory_order_relaxed);
-    while (Current > Prev &&
-           !PeakStructures.compare_exchange_weak(Prev, Current,
-                                                 std::memory_order_relaxed)) {
-    }
+    PeakStructures = std::max(PeakStructures, Current);
     if (B.MaxStructures && Current > B.MaxStructures)
       throw CertifyError(CertifyErrorKind::BudgetStructures,
                          "stage exceeded its ceiling of " +
@@ -118,9 +110,8 @@ public:
   /// Approximate allocation accounting: engines report the rough byte
   /// cost of their allocations (states, path edges, structure copies).
   void addAllocation(uint64_t Bytes) {
-    uint64_t Total =
-        AllocBytes.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
-    if (B.MaxAllocBytes && Total > B.MaxAllocBytes)
+    AllocBytes += Bytes;
+    if (B.MaxAllocBytes && AllocBytes > B.MaxAllocBytes)
       throw CertifyError(CertifyErrorKind::BudgetAllocation,
                          "stage exceeded its allocation budget of " +
                              std::to_string(B.MaxAllocBytes) + " bytes",
@@ -135,9 +126,7 @@ public:
 
   /// Snapshot of the resources consumed so far.
   ResourceSpend spend() const {
-    return {elapsedMicros(), Iterations.load(std::memory_order_relaxed),
-            PeakStructures.load(std::memory_order_relaxed),
-            AllocBytes.load(std::memory_order_relaxed)};
+    return {elapsedMicros(), Iterations, PeakStructures, AllocBytes};
   }
 
   const StageBudget &budget() const { return B; }
@@ -147,9 +136,9 @@ private:
   StageBudget B;
   std::string Stage;
   std::chrono::steady_clock::time_point Start;
-  std::atomic<uint64_t> Iterations{0};
-  std::atomic<uint64_t> PeakStructures{0};
-  std::atomic<uint64_t> AllocBytes{0};
+  uint64_t Iterations = 0;
+  uint64_t PeakStructures = 0;
+  uint64_t AllocBytes = 0;
 };
 
 //===----------------------------------------------------------------------===//

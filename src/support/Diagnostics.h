@@ -45,9 +45,8 @@ public:
   }
 
   /// Appends every diagnostic of \p O, in \p O's emission order. The
-  /// parallel certifier gives each worker task a private engine and
-  /// merges them in task-index order, so the combined stream is
-  /// identical for any worker count.
+  /// certifier collects a ladder rung's diagnostics in an engine of its
+  /// own and merges it only when every unit of the rung has run.
   void mergeFrom(const DiagnosticEngine &O) {
     Diags.insert(Diags.end(), O.Diags.begin(), O.Diags.end());
     NumErrors += O.NumErrors;

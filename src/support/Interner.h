@@ -14,8 +14,8 @@
 /// out-of-band mutation in tests and debug builds).
 ///
 /// The pool is deliberately not thread-safe: each analysis engine owns
-/// a private pool, and the certification fan-out parallelizes across
-/// engines (one method/slice per task), never within one.
+/// a private pool, and an engine runs on the one thread of the
+/// certify() call that made it.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -82,7 +82,6 @@ TEST(CorpusWitnessTest, EveryFlaggedVerdictReplays) {
   std::filesystem::remove_all(Dir);
 
   CertifierOptions Default;
-  Default.Workers = 1;
   CorpusRun Plain;
   certifyCorpus(Corpus, Default, Plain);
   EXPECT_GT(Plain.Flagged, 0u);

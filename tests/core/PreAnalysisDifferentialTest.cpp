@@ -109,7 +109,6 @@ DiffStats differential(const std::string &Label, const std::string &Source) {
 
   for (bool Emit : {false, true}) {
     CertifierOptions Opts;
-    Opts.Workers = 1;
     Opts.EmitCertificates = Emit;
     Opts.CheckCertificates = Emit;
     const std::string Mode = Label + (Emit ? " [certificates]" : "");

@@ -11,7 +11,8 @@
 # warm run that must answer everything from it) from canvas_certify,
 # and the sharded driver's shard-scaling lines from canvas_shard
 # (serial reference and 1/2/4/8-way runs over a 200-client corpus) plus
-# storeless / cold / warm store timings at 4 workers.
+# storeless / cold / warm store timings at 4 workers, each min and
+# median of 7 reps.
 #
 # Usage: tools/bench_capture.sh [label]
 #   label   tag recorded with each line (default: "after"); use e.g.
@@ -76,26 +77,22 @@ EOF
   rm -rf "$dir"
 }
 
-# Shard scaling: one generated corpus, a serial reference, then cold
-# sharded runs at 1/2/4/8 workers. Then the store at 4 workers: one
+# Shard scaling: one generated corpus, then storeless runs of the serial
+# reference and of 1/2/4/8 shards, and the store at 4 shards: one
 # shard-store-speed line per mode (storeless, cold on a store emptied
-# before each rep, warm on a store filled once), each the min and median
-# wall clock of 7 reps and of their set-up (canvas_shard's setup_micros:
-# corpus load and spec check, before the first task), with the last
-# rep's store counters, nproc and the build type.
+# before each rep, warm on a store filled once). Every configuration
+# runs 7 reps, interleaved with the others so that a drift in host speed
+# spreads over all of them. Each shard-scaling line is the last rep's
+# line from canvas_shard with the min and median wall clock and set-up
+# (canvas_shard's setup_micros: corpus load and spec check, before the
+# first task) of the 7 reps, nproc and the build type added; each
+# shard-store-speed line carries the same figures with the last rep's
+# store counters.
 capture_shard() {
   local dir
   dir="$(mktemp -d)"
   ./build/examples/canvas_shard --generate="$dir/corpus" --count=200 \
     --seed=7 >/dev/null
-  ./build/examples/canvas_shard --corpus="$dir/corpus" --serial \
-    --no-stream --bench-label=shard-200 --out="$dir/merged.txt" |
-    sed -n 's/^BENCH_JSON //p' | grep '"bench":"shard' || true
-  for n in 1 2 4 8; do
-    ./build/examples/canvas_shard --corpus="$dir/corpus" --shards="$n" \
-      --no-stream --bench-label=shard-200 --out="$dir/merged.txt" |
-      sed -n 's/^BENCH_JSON //p' | grep '"bench":"shard' || true
-  done
   python3 - ./build/examples/canvas_shard "$dir" "$(nproc)" \
     "$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' build/CMakeCache.txt)" <<'PYEOF'
 import json, shutil, statistics, subprocess, sys
@@ -103,11 +100,9 @@ import json, shutil, statistics, subprocess, sys
 exe, work, nproc, build_type = sys.argv[1:5]
 REPS = 7
 
-def run(store=None):
-    cmd = [exe, "--corpus=" + work + "/corpus", "--shards=4", "--no-stream",
-           "--out=" + work + "/merged.txt"]
-    if store:
-        cmd.append("--store=" + work + "/" + store)
+def run(*args):
+    cmd = [exe, "--corpus=" + work + "/corpus", "--no-stream",
+           "--out=" + work + "/merged.txt", *args]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True)
     lines = {}
     for line in out.stdout.splitlines():
@@ -116,29 +111,42 @@ def run(store=None):
             lines[d["bench"]] = d
     return lines
 
-run("warm")  # Fills the warm store.
-micros = {"storeless": [], "cold": [], "warm": []}
-setup = {mode: [] for mode in micros}
-last = {}
+def timing(runs):
+    us = [r["shard-scaling"]["micros"] for r in runs]
+    setup = [r["shard-scaling"]["setup_micros"] for r in runs]
+    return {"reps": REPS, "min_us": min(us),
+            "median_us": statistics.median(us),
+            "setup_min_us": min(setup),
+            "setup_median_us": statistics.median(setup),
+            "nproc": int(nproc), "build_type": build_type}
+
+def emit(row):
+    print(json.dumps(row, separators=(",", ":")))
+
+scaling = {flag: [] for flag in ("--serial", "--shards=1", "--shards=2",
+                                 "--shards=4", "--shards=8")}
 for _ in range(REPS):
-    for mode in micros:
+    for flag, runs in scaling.items():
+        runs.append(run(flag, "--bench-label=shard-200"))
+for runs in scaling.values():
+    emit({**runs[-1]["shard-scaling"], **timing(runs)})
+
+run("--shards=4", "--store=" + work + "/warm")  # Fills the warm store.
+modes = {"storeless": [], "cold": [], "warm": []}
+for _ in range(REPS):
+    for mode, runs in modes.items():
         if mode == "cold":
             shutil.rmtree(work + "/cold", ignore_errors=True)
-        last[mode] = run(None if mode == "storeless" else mode)
-        micros[mode].append(last[mode]["shard-scaling"]["micros"])
-        setup[mode].append(last[mode]["shard-scaling"]["setup_micros"])
-for mode, us in micros.items():
+        store = [] if mode == "storeless" else ["--store=" + work + "/" + mode]
+        runs.append(run("--shards=4", *store))
+for mode, runs in modes.items():
     row = {"bench": "shard-store-speed", "mode": mode, "clients": 200,
-           "shards": 4, "reps": REPS, "min_us": min(us),
-           "median_us": statistics.median(us),
-           "setup_min_us": min(setup[mode]),
-           "setup_median_us": statistics.median(setup[mode]),
-           "nproc": int(nproc), "build_type": build_type}
-    store = last[mode].get("shard-store")
+           "shards": 4, **timing(runs)}
+    store = runs[-1].get("shard-store")
     if store:
         for key in ("hits", "misses", "writes", "rejected", "quarantined"):
             row[key] = store[key]
-    print(json.dumps(row, separators=(",", ":")))
+    emit(row)
 PYEOF
   rm -rf "$dir"
 }

@@ -39,8 +39,8 @@ step "asan: tvla / boolprog / cert suites (arena + packed-word paths)"
 # those paths (plus their reset-reuse and differential regression
 # tests) as a named ASan pass so a use-after-reset or overflow in the
 # packed codecs is called out here, not buried in the full suite.
-# ParallelEngine adds the certifier's per-unit fan-out, including units
-# answered from the certificate store.
+# ParallelEngine adds the certifier's per-unit loop with units answered
+# from the certificate store.
 run_ctest --preset sanitize -j "$JOBS" \
   -R 'Arena|StateVec|Structure|TVLA|Intraprocedural|Interprocedural|Witness|Cert|Checker|SlicePartition|BuildGolden|CorpusWitness|PreAnalysisDifferential|ParallelEngine'
 
@@ -109,15 +109,19 @@ step "tsan configure + build (ThreadSanitizer)"
 cmake --preset tsan
 cmake --build --preset tsan -j "$JOBS"
 
-step "tsan: parallel certifier, task pool, budget, and shard scheduler"
-# The fan-out tests force Workers > 1 explicitly, so TSan sees real
-# concurrency even on single-core runners; any data race in the shared
-# CancelToken, fault-probe state, or slot merging fails the gate. The
-# shard determinism tests drive the multi-process scheduler (fork+exec
-# is TSan-safe; the fork-without-exec StoreContention tests are NOT in
-# this regex for that reason — they run under the sanitize preset).
+step "tsan: concurrent certifiers, budget, and shard scheduler"
+# One certify() call stays on its caller's thread, but separate
+# certifiers may run on separate threads (perfbench's ground-truth pass
+# does). ConcurrentCertifiersTest starts two threads explicitly, so TSan
+# sees real concurrency even on single-core runners; any data race in
+# the state they share (the fault-probe state, tvp::internLayout's pool,
+# a certifier's store cache) fails the gate, and
+# CrossWorkerArenasAreIsolated runs one arena per thread. The shard
+# determinism tests drive the multi-process scheduler (fork+exec is
+# TSan-safe; the fork-without-exec StoreContention tests are NOT in this
+# regex for that reason — they run under the sanitize preset).
 run_ctest --preset tsan -j "$JOBS" \
-  -R 'ParallelCertifierTest|ParallelEngineTest|TaskPoolTest|BudgetTest|ShardProtocolTest|ShardDeterminismTest'
+  -R 'ParallelCertifierTest|ParallelEngineTest|ConcurrentCertifiersTest|CrossWorkerArenasAreIsolated|BudgetTest|ShardProtocolTest|ShardDeterminismTest'
 
 step "ubsan configure + build (UBSan only)"
 cmake --preset ubsan
